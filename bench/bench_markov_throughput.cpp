@@ -1,8 +1,9 @@
-// Markov sweep-engine throughput: legacy serial path vs the cached /
-// zero-alloc / parallel engine, on the paper's Fig. 7 workload (duplex
-// RS(18,16), lambda = 1.7e-5 /bit/day, Tsc in {900, 1200, 1800, 3600} s,
-// 25 time points over 48 h), plus the incremental periodic-scrub curve vs
-// the old from-scratch-per-point evaluation.
+// Markov sweep-engine throughput: a serial per-point build-and-solve
+// reference vs the cached / zero-alloc / parallel engine, on the paper's
+// Fig. 7 workload (duplex RS(18,16), lambda = 1.7e-5 /bit/day, Tsc in
+// {900, 1200, 1800, 3600} s, 25 time points over 48 h), plus the
+// incremental periodic-scrub curve vs the old from-scratch-per-point
+// evaluation.
 //
 // Writes a JSON snapshot when given --out <path> (tools/run_bench.sh
 // records it as BENCH_markov.json).
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "bench_markov_throughput", "Fig. 7 pipeline",
       "Markov sweep engine (chain cache + workspace + dense steps + "
-      "thread pool) vs legacy serial per-point solving");
+      "thread pool) vs serial per-point solving");
 
   const unsigned hw = std::thread::hardware_concurrency();
   bench::ShapeChecks checks;
@@ -103,30 +104,50 @@ int main(int argc, char** argv) {
                                         kSeuPerBitDay, periods, kHorizonHours,
                                         kPoints, options);
   };
-  const analysis::SweepOptions legacy_opts{1, false};
-  const analysis::SweepOptions engine1_opts{1, true};
-  const analysis::SweepOptions engine4_opts{4, true};
+  // The reference: one models::duplex_ber_curve build-and-solve per period
+  // with a plain UniformizationSolver, run serially.
+  models::DuplexParams params;
+  params.n = code.n;
+  params.k = code.k;
+  params.m = code.m;
+  params.seu_rate_per_bit_hour = core::per_day_to_per_hour(kSeuPerBitDay);
+  const std::vector<double> times =
+      models::time_grid_hours(kHorizonHours, kPoints);
+  const markov::UniformizationSolver solver;
+  const auto run_reference = [&] {
+    std::vector<analysis::Series> out;
+    for (const double period : periods) {
+      models::DuplexParams p = params;
+      p.scrub_rate_per_hour = core::scrub_rate_per_hour(period);
+      out.push_back(
+          {"", times, models::duplex_ber_curve(p, times, solver).ber});
+    }
+    return out;
+  };
+  const analysis::SweepOptions engine1_opts{1};
+  const analysis::SweepOptions engine4_opts{4};
 
-  const auto legacy = run_sweep(legacy_opts);
+  const auto reference = run_reference();
   models::global_chain_cache().clear();
   const auto engine1 = run_sweep(engine1_opts);
   models::global_chain_cache().clear();
   const auto engine4 = run_sweep(engine4_opts);
 
-  const double rel = max_rel_diff(legacy, engine4);
+  const double rel = max_rel_diff(reference, engine4);
   checks.expect(rel <= 1e-12,
-                "engine agrees with legacy to <= 1e-12 relative (got " +
+                "engine agrees with per-point reference to <= 1e-12 "
+                "relative (got " +
                     analysis::format_sci(rel) + ")");
   checks.expect(bitwise_equal(engine1, engine4),
                 "engine series identical for 1 and 4 threads");
 
-  // Timing: pick repetitions from one legacy run so the totals are large
+  // Timing: pick repetitions from one reference run so the totals are large
   // enough to trust, then keep the best (least-noise) repetition. Each
   // engine repetition starts from a cold chain cache.
-  const double once = best_of_seconds(1, [&] { run_sweep(legacy_opts); });
+  const double once = best_of_seconds(1, [&] { run_reference(); });
   const int reps =
       std::max(3, std::min(25, static_cast<int>(0.5 / std::max(once, 1e-4))));
-  const double t_legacy = best_of_seconds(reps, [&] { run_sweep(legacy_opts); });
+  const double t_reference = best_of_seconds(reps, [&] { run_reference(); });
   const double t_engine1 = best_of_seconds(reps, [&] {
     models::global_chain_cache().clear();
     run_sweep(engine1_opts);
@@ -136,31 +157,33 @@ int main(int argc, char** argv) {
     run_sweep(engine4_opts);
   });
 
-  const double speedup1 = t_legacy / t_engine1;
-  const double speedup4 = t_legacy / t_engine4;
+  const double speedup1 = t_reference / t_engine1;
+  const double speedup4 = t_reference / t_engine4;
   analysis::Table perf{{"path", "threads", "best ms", "speedup"}};
-  perf.add_row({"legacy serial", "1", analysis::format_fixed(t_legacy * 1e3, 3),
-                "1.00"});
+  perf.add_row({"per-point serial", "1",
+                analysis::format_fixed(t_reference * 1e3, 3), "1.00"});
   perf.add_row({"engine", "1", analysis::format_fixed(t_engine1 * 1e3, 3),
                 analysis::format_fixed(speedup1, 2)});
   perf.add_row({"engine", "4", analysis::format_fixed(t_engine4 * 1e3, 3),
                 analysis::format_fixed(speedup4, 2)});
   std::printf("\nFig. 7 sweep (4 periods x %zu points), best of %d:\n%s\n",
               kPoints, reps, perf.to_text().c_str());
-  json.push_back({"fig7_sweep_legacy_serial", t_legacy * 1e3, 1.0});
+  json.push_back({"fig7_sweep_legacy_serial", t_reference * 1e3, 1.0});
   json.push_back({"fig7_sweep_engine_1thread", t_engine1 * 1e3, speedup1});
   json.push_back({"fig7_sweep_engine_4threads", t_engine4 * 1e3, speedup4});
 
   if (hw >= 4) {
     checks.expect(speedup4 >= 3.0,
-                  "engine at 4 threads >= 3x legacy serial (Fig. 7 sweep)");
+                  "engine at 4 threads >= 3x per-point serial (Fig. 7 "
+                  "sweep)");
   } else {
     std::printf(
         "note: %u hardware thread(s) available; the 4-thread >= 3x check "
         "needs 4+, gating on the single-thread engine instead\n",
         hw);
     checks.expect(speedup1 >= 1.5,
-                  "engine at 1 thread >= 1.5x legacy serial (Fig. 7 sweep)");
+                  "engine at 1 thread >= 1.5x per-point serial (Fig. 7 "
+                  "sweep)");
   }
 
   // ---- Section 2: incremental periodic-scrub occupancy. ----
@@ -168,14 +191,7 @@ int main(int argc, char** argv) {
   // the reference below recomputes every point from pi(0), which is what
   // occupancy_with_periodic_jump used to do (48 h at Tsc = 900 s is 192
   // cycles, so the old cost grew quadratically).
-  models::DuplexParams params;
-  params.n = 18;
-  params.k = 16;
-  params.m = 8;
-  params.seu_rate_per_bit_hour = core::per_day_to_per_hour(kSeuPerBitDay);
   const double tsc_hours = core::seconds_to_hours(900.0);
-  const std::vector<double> times =
-      models::time_grid_hours(kHorizonHours, kPoints);
 
   const models::DuplexModel model{params};
   const markov::StateSpace space = model.build();
@@ -194,7 +210,6 @@ int main(int argc, char** argv) {
     scrubbed.y = d.y + d.b;
     jump_map[i] = space.index_of(models::DuplexModel::pack(scrubbed));
   }
-  const markov::UniformizationSolver solver;
 
   const auto from_scratch = [&] {
     std::vector<double> out;

@@ -52,35 +52,13 @@ models::DuplexParams duplex_params(const CodeSpec& code,
   return params;
 }
 
-// Legacy reference path: build the chain and allocate solver state per
-// point, exactly as the original serial sweeps did.
-models::BerCurve run_curve_legacy(Arrangement arrangement,
-                                  const CodeSpec& code,
-                                  double seu_per_bit_hour,
-                                  double erasure_per_symbol_hour,
-                                  double scrub_rate_per_hour,
-                                  std::span<const double> times_hours) {
-  const markov::UniformizationSolver solver;
-  if (arrangement == Arrangement::kSimplex) {
-    return models::simplex_ber_curve(
-        simplex_params(code, seu_per_bit_hour, erasure_per_symbol_hour,
-                       scrub_rate_per_hour),
-        times_hours, solver);
-  }
-  return models::duplex_ber_curve(
-      duplex_params(code, seu_per_bit_hour, erasure_per_symbol_hour,
-                    scrub_rate_per_hour),
-      times_hours, solver);
-}
-
-// Engine path: chain from the process-wide cache, per-thread workspace,
-// dense step operators on the repeated grid widths.
-models::BerCurve run_curve_engine(Arrangement arrangement,
-                                  const CodeSpec& code,
-                                  double seu_per_bit_hour,
-                                  double erasure_per_symbol_hour,
-                                  double scrub_rate_per_hour,
-                                  std::span<const double> times_hours) {
+// One sweep point: chain from the process-wide cache, per-thread
+// workspace, dense step operators on the repeated grid widths.
+models::BerCurve run_curve(Arrangement arrangement, const CodeSpec& code,
+                           double seu_per_bit_hour,
+                           double erasure_per_symbol_hour,
+                           double scrub_rate_per_hour,
+                           std::span<const double> times_hours) {
   static thread_local markov::SolverWorkspace workspace;
   const markov::UniformizationSolver solver;
   const markov::StepPolicy policy{kEngineMaxDenseStates};
@@ -96,19 +74,6 @@ models::BerCurve run_curve_engine(Arrangement arrangement,
       times_hours, solver, models::global_chain_cache(), workspace, policy);
 }
 
-// Runs fill_point(i) for every sweep point. The engine path distributes
-// the independent points over the thread pool (each writes only slot i, so
-// the result is identical for every thread count); the legacy path stays
-// strictly serial.
-void run_sweep_points(std::size_t count, const SweepOptions& options,
-                      const std::function<void(std::size_t)>& fill_point) {
-  if (options.use_engine) {
-    parallel_for_indexed(count, options.threads, fill_point);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) fill_point(i);
-  }
-}
-
 }  // namespace
 
 const char* to_string(Arrangement a) {
@@ -122,16 +87,12 @@ std::vector<Series> seu_rate_sweep(Arrangement arrangement, CodeSpec code,
   const std::vector<double> times =
       models::time_grid_hours(t_end_hours, points);
   std::vector<Series> series(seu_per_bit_day.size());
-  run_sweep_points(
-      seu_per_bit_day.size(), options, [&](std::size_t i) {
+  parallel_for_indexed(
+      seu_per_bit_day.size(), options.threads, [&](std::size_t i) {
         const double rate_day = seu_per_bit_day[i];
         const double rate_hour = core::per_day_to_per_hour(rate_day);
         const models::BerCurve curve =
-            options.use_engine
-                ? run_curve_engine(arrangement, code, rate_hour, 0.0, 0.0,
-                                   times)
-                : run_curve_legacy(arrangement, code, rate_hour, 0.0, 0.0,
-                                   times);
+            run_curve(arrangement, code, rate_hour, 0.0, 0.0, times);
         series[i] = {"lambda=" + format_rate(rate_day) + "/bit/day", times,
                      curve.ber};
       });
@@ -146,17 +107,13 @@ std::vector<Series> scrub_period_sweep(Arrangement arrangement, CodeSpec code,
   const std::vector<double> times =
       models::time_grid_hours(t_end_hours, points);
   std::vector<Series> series(periods_seconds.size());
-  run_sweep_points(
-      periods_seconds.size(), options, [&](std::size_t i) {
+  parallel_for_indexed(
+      periods_seconds.size(), options.threads, [&](std::size_t i) {
         const double period_s = periods_seconds[i];
         const double seu_hour = core::per_day_to_per_hour(seu_per_bit_day);
         const double scrub_hour = core::scrub_rate_per_hour(period_s);
         const models::BerCurve curve =
-            options.use_engine
-                ? run_curve_engine(arrangement, code, seu_hour, 0.0,
-                                   scrub_hour, times)
-                : run_curve_legacy(arrangement, code, seu_hour, 0.0,
-                                   scrub_hour, times);
+            run_curve(arrangement, code, seu_hour, 0.0, scrub_hour, times);
         char label[32];
         std::snprintf(label, sizeof label, "Tsc=%.0f s", period_s);
         series[i] = {label, times, curve.ber};
@@ -179,16 +136,12 @@ std::vector<Series> permanent_rate_sweep(
     times_months.push_back(core::hours_to_months(t));
   }
   std::vector<Series> series(erasure_per_symbol_day.size());
-  run_sweep_points(
-      erasure_per_symbol_day.size(), options, [&](std::size_t i) {
+  parallel_for_indexed(
+      erasure_per_symbol_day.size(), options.threads, [&](std::size_t i) {
         const double rate_day = erasure_per_symbol_day[i];
         const double rate_hour = core::per_day_to_per_hour(rate_day);
         const models::BerCurve curve =
-            options.use_engine
-                ? run_curve_engine(arrangement, code, 0.0, rate_hour, 0.0,
-                                   times_hours)
-                : run_curve_legacy(arrangement, code, 0.0, rate_hour, 0.0,
-                                   times_hours);
+            run_curve(arrangement, code, 0.0, rate_hour, 0.0, times_hours);
         series[i] = {"lambda_e=" + format_rate(rate_day) + "/sym/day",
                      times_months, curve.ber};
       });

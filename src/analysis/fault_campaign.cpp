@@ -91,6 +91,7 @@ bool find_pattern(const rs::ReedSolomon& code,
                   bool want_miscorrection, sim::Rng& rng, ErrorPattern& out,
                   std::vector<Element>* decoded = nullptr) {
   const rs::CodeParams params{code.n(), code.k(), code.m(), code.fcr()};
+  rs::DecoderWorkspace ws;
   for (unsigned attempt = 0; attempt < 20000; ++attempt) {
     ErrorPattern pattern;
     pattern.positions = pick_distinct(count, code.n(), rng);
@@ -98,7 +99,7 @@ bool find_pattern(const rs::ReedSolomon& code,
       pattern.diffs.push_back(random_diff(params, rng));
     }
     std::vector<Element> word = apply_pattern(codeword, pattern);
-    const rs::DecodeOutcome outcome = code.decode_legacy(word, {});
+    const rs::DecodeOutcome outcome = code.decode(ws, word);
     if (want_miscorrection) {
       if (outcome.status == rs::DecodeStatus::kCorrected && word != codeword) {
         out = std::move(pattern);
@@ -235,7 +236,7 @@ void run_stuck_bank_growth(const FaultCampaignConfig& config,
   sim::Rng data_rng = rng.split(1);
   const std::vector<Element> data = make_data(config.code, data_rng);
   std::vector<Element> codeword(config.code.n, 0);
-  code.encode_legacy(data, codeword);
+  code.encode(data, codeword);
   sys.store(data);
 
   // Grow DETECTED stuck-at faults symbol by symbol over the scripted bank,
@@ -322,7 +323,7 @@ void run_miscorrection_trap(const FaultCampaignConfig& config,
   sim::Rng data_rng = rng.split(1);
   const std::vector<Element> data = make_data(config.code, data_rng);
   std::vector<Element> codeword(config.code.n, 0);
-  code.encode_legacy(data, codeword);
+  code.encode(data, codeword);
   const unsigned beyond = (config.code.n - config.code.k) / 2 + 1;
   ErrorPattern pattern;
   sim::Rng search_rng = rng.split(2);
@@ -398,7 +399,7 @@ void run_arbiter_disagreement(const FaultCampaignConfig& config,
   sim::Rng data_rng = rng.split(1);
   const std::vector<Element> data = make_data(config.code, data_rng);
   std::vector<Element> codeword(config.code.n, 0);
-  code.encode_legacy(data, codeword);
+  code.encode(data, codeword);
   const unsigned beyond = (config.code.n - config.code.k) / 2 + 1;
 
   // Two patterns mis-correcting to DIFFERENT wrong codewords, one per
@@ -471,7 +472,7 @@ void run_dead_module_demotion(const FaultCampaignConfig& config,
   sim::Rng data_rng = rng.split(1);
   const std::vector<Element> data = make_data(config.code, data_rng);
   std::vector<Element> codeword(n, 0);
-  code.encode_legacy(data, codeword);
+  code.encode(data, codeword);
 
   // Module 1 (the survivor) carries `parity` DETECTED stuck symbols at
   // positions P -- alone it decodes fine as erasures. Module 0 carries
@@ -487,18 +488,19 @@ void run_dead_module_demotion(const FaultCampaignConfig& config,
   std::vector<Element> diffs(positions.size(), 0);
   bool found = false;
   sim::Rng search_rng = rng.split(3);
+  rs::DecoderWorkspace ws;
   for (unsigned attempt = 0; attempt < 20000 && !found; ++attempt) {
     for (Element& d : diffs) d = random_diff(config.code, search_rng);
     std::vector<Element> sub = codeword;
     for (unsigned i = 0; i < parity; ++i) sub[positions[i]] ^= diffs[i];
-    if (code.decode_legacy(sub, {}).status != rs::DecodeStatus::kFailure) {
+    if (code.decode(ws, sub).status != rs::DecodeStatus::kFailure) {
       continue;
     }
     std::vector<Element> full = codeword;
     for (std::size_t i = 0; i < positions.size(); ++i) {
       full[positions[i]] ^= diffs[i];
     }
-    found = code.decode_legacy(full, {}).status == rs::DecodeStatus::kFailure;
+    found = code.decode(ws, full).status == rs::DecodeStatus::kFailure;
   }
   if (!found) {
     outcome.detail = "no doubly-failing flip pattern found";
@@ -552,7 +554,7 @@ void run_retirement(const FaultCampaignConfig& config,
   sim::Rng data_rng = rng.split(1);
   const std::vector<Element> data = make_data(config.code, data_rng);
   std::vector<Element> codeword(config.code.n, 0);
-  code.encode_legacy(data, codeword);
+  code.encode(data, codeword);
   const unsigned beyond = (config.code.n - config.code.k) / 2 + 2;
   ErrorPattern pattern;
   sim::Rng search_rng = rng.split(2);
@@ -599,10 +601,8 @@ void run_retirement(const FaultCampaignConfig& config,
   outcome.detail = detail.str();
 }
 
-void run_solver_divergence(const FaultCampaignConfig& config,
-                           const FaultScenario& scenario, sim::Rng& rng,
+void run_solver_divergence(const FaultScenario& scenario,
                            ScenarioOutcome& outcome) {
-  (void)rng;
   // A small representative chain: healthy -> degraded -> failed.
   const linalg::CsrMatrix q(3, 3,
                             {{0, 0, -2.0},
@@ -690,7 +690,7 @@ ScenarioOutcome run_scenario(const FaultCampaignConfig& config,
       run_retirement(config, scenario, rng, outcome);
       break;
     case ScenarioKind::kSolverDivergence:
-      run_solver_divergence(config, scenario, rng, outcome);
+      run_solver_divergence(scenario, outcome);
       break;
   }
   if (!outcome.ran) outcome.counters_consistent = false;

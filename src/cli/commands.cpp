@@ -109,7 +109,8 @@ int cmd_help(std::ostream& out) {
          "            [--shards S] [--open-loop [--rate RPS]]\n"
          "            [--shard-sweep 1,2,4] [--json BENCH_serve.json]\n"
          "            (open loop pipelines scheduled arrivals; kOverloaded\n"
-         "            rejections count separately from errors)\n"
+         "            rejections and kBrownout sheds count separately\n"
+         "            from errors)\n"
          "  chaos     transport fault-injection campaign against live\n"
          "            servers  --preset serve-churn [--seed S]\n"
          "            [--requests N --distinct K] [--timeout-ms MS]\n"
@@ -145,24 +146,16 @@ int cmd_version(std::ostream& out) {
 #endif
       << "\n"
       // The process-wide kernel selection (one backend per process; see
-      // gf/simd_mul.h). `scalar` means the codec runs its original loops.
+      // gf/simd_mul.h). `scalar` means the codec runs its plain loops.
       << "gf backend: " << gf::simd::active().name << "\n";
   // Every backend linked into this binary, and the subset this host's CPU
   // can actually run (what RSMEM_GF_BACKEND may select). Parsed by
   // tools/run_sanitizers.sh to enumerate its per-backend codec loop.
-  const auto kernels_of = [](gf::simd::Backend b) -> const gf::simd::Kernels* {
-    switch (b) {
-      case gf::simd::Backend::kScalar: return gf::simd::scalar_kernels();
-      case gf::simd::Backend::kSwar: return gf::simd::swar_kernels();
-      case gf::simd::Backend::kSsse3: return gf::simd::ssse3_kernels();
-      case gf::simd::Backend::kAvx2: return gf::simd::avx2_kernels();
-      case gf::simd::Backend::kGfni: return gf::simd::gfni_kernels();
-    }
-    return nullptr;
-  };
   out << "gf backends compiled:";
   for (const gf::simd::Backend b : gf::simd::kAllBackends) {
-    if (kernels_of(b) != nullptr) out << " " << gf::simd::to_string(b);
+    if (gf::simd::kernels_for(b) != nullptr) {
+      out << " " << gf::simd::to_string(b);
+    }
   }
   out << "\n"
       << "gf backends supported:";

@@ -1,6 +1,7 @@
 #include "memory/arbiter.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -117,13 +118,10 @@ ArbiterResult Arbiter::arbitrate(std::span<const Element> word1,
   mask_erasures(w1, w2, f1, f2, result);
 
   // Step 2: independent decoding with the common erasures.
-  if (ws != nullptr) {
-    result.outcome1 = code_->decode(*ws, w1, result.common_erasures);
-    result.outcome2 = code_->decode(*ws, w2, result.common_erasures);
-  } else {
-    result.outcome1 = code_->decode_legacy(w1, result.common_erasures);
-    result.outcome2 = code_->decode_legacy(w2, result.common_erasures);
-  }
+  std::optional<rs::DecoderWorkspace> local;
+  if (ws == nullptr) ws = &local.emplace();
+  result.outcome1 = code_->decode(*ws, w1, result.common_erasures);
+  result.outcome2 = code_->decode(*ws, w2, result.common_erasures);
 
   select(w1, w2, result);
   return result;

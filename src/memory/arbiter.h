@@ -71,9 +71,8 @@ class Arbiter {
 
   // `word1`/`word2` are the raw module reads (length n);
   // `erasures1`/`erasures2` the modules' detected-fault symbol positions.
-  // When `ws` is non-null the decodes route through the allocation-free
-  // workspace fast path; when null they use the legacy reference decoder.
-  // Outcomes are bit-identical either way.
+  // Both decodes run through `ws`; when null, through a call-local
+  // workspace (allocates per call — hot loops should pass one).
   ArbiterResult arbitrate(std::span<const Element> word1,
                           std::span<const Element> word2,
                           std::span<const unsigned> erasures1,

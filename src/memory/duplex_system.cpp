@@ -6,25 +6,15 @@
 
 namespace rsmem::memory {
 
-namespace {
-
-std::shared_ptr<const rs::ReedSolomon> resolve_code(
-    const std::shared_ptr<const rs::ReedSolomon>& shared,
-    const rs::CodeParams& params) {
-  if (!shared) return std::make_shared<const rs::ReedSolomon>(params);
-  if (shared->n() != params.n || shared->k() != params.k ||
-      shared->m() != params.m || shared->fcr() != params.fcr) {
-    throw std::invalid_argument(
-        "DuplexSystem: shared_code parameters do not match code");
-  }
-  return shared;
-}
-
-}  // namespace
-
 DuplexSystem::DuplexSystem(const DuplexSystemConfig& config)
     : config_(config),
-      code_(resolve_code(config.shared_code, config.code)),
+      code_(resolve_system_code(config.shared_code, config.code,
+                                "DuplexSystem")),
+      owned_workspace_(config.workspace != nullptr
+                           ? nullptr
+                           : std::make_unique<rs::DecoderWorkspace>()),
+      workspace_(config.workspace != nullptr ? config.workspace
+                                             : owned_workspace_.get()),
       arbiter_(*code_),
       module1_(config.code.n, config.code.m),
       module2_(config.code.n, config.code.m),
@@ -49,11 +39,7 @@ void DuplexSystem::store(std::span<const Element> data) {
   }
   stored_data_.assign(data.begin(), data.end());
   stored_codeword_.assign(code_->n(), 0);
-  if (config_.workspace != nullptr) {
-    code_->encode(*config_.workspace, stored_data_, stored_codeword_);
-  } else {
-    code_->encode_legacy(stored_data_, stored_codeword_);
-  }
+  code_->encode(stored_data_, stored_codeword_);
   commit_store();
 }
 
@@ -138,10 +124,7 @@ ArbiterResult DuplexSystem::survivor_arbiter_result() const {
   survivor.detected_erasures_into(erasures1_scratch_);
   ArbiterResult result;
   const rs::DecodeOutcome outcome =
-      config_.workspace != nullptr
-          ? code_->decode(*config_.workspace, word1_scratch_,
-                          erasures1_scratch_)
-          : code_->decode_legacy(word1_scratch_, erasures1_scratch_);
+      code_->decode(*workspace_, word1_scratch_, erasures1_scratch_);
   result.outcome1 = outcome;
   result.flag1 = outcome.correction_flag();
   if (outcome.ok()) {
@@ -158,7 +141,7 @@ ArbiterResult DuplexSystem::arbitrate_current() const {
   module1_.detected_erasures_into(erasures1_scratch_);
   module2_.detected_erasures_into(erasures2_scratch_);
   return arbiter_.arbitrate(word1_scratch_, word2_scratch_, erasures1_scratch_,
-                            erasures2_scratch_, config_.workspace);
+                            erasures2_scratch_, workspace_);
 }
 
 bool DuplexSystem::probe_decode(const MemoryModule& module,
@@ -166,11 +149,7 @@ bool DuplexSystem::probe_decode(const MemoryModule& module,
                                 std::vector<unsigned>& erasures) const {
   module.read_into(word);
   module.detected_erasures_into(erasures);
-  const rs::DecodeOutcome outcome =
-      config_.workspace != nullptr
-          ? code_->decode(*config_.workspace, word, erasures)
-          : code_->decode_legacy(word, erasures);
-  return outcome.ok();
+  return code_->decode(*workspace_, word, erasures).ok();
 }
 
 void DuplexSystem::maybe_demote() const {
@@ -227,7 +206,7 @@ ArbiterResult DuplexSystem::arbitrate_with_recovery() const {
       module2_.read_into(word2_scratch_);
       result = arbiter_.arbitrate(word1_scratch_, word2_scratch_,
                                   erasures1_scratch_, erasures2_scratch_,
-                                  config_.workspace);
+                                  workspace_);
       if (result.has_output()) ++degradation_.erasure_only_recoveries;
     }
   }
@@ -293,7 +272,7 @@ DuplexReadResult DuplexSystem::read() const {
 
 bool DuplexSystem::supports_batched_read() const {
   return stored_ && !retired_ && dead_module_ < 0 &&
-         config_.workspace != nullptr && !config_.degradation.any_enabled();
+         !config_.degradation.any_enabled();
 }
 
 void DuplexSystem::read_into_masked_pair(std::span<Element> word1,
@@ -304,7 +283,7 @@ void DuplexSystem::read_into_masked_pair(std::span<Element> word1,
   if (!supports_batched_read()) {
     throw std::logic_error(
         "DuplexSystem::read_into_masked_pair: batched read unsupported "
-        "(need stored data, workspace fast path, inert degradation policy)");
+        "(need stored data, inert degradation policy)");
   }
   module1_.read_into_plane(word1, flags1);
   module2_.read_into_plane(word2, flags2);

@@ -29,7 +29,7 @@ struct DuplexSystemConfig {
   ScrubPolicy scrub_policy = ScrubPolicy::kNone;
   double scrub_period_hours = 0.0;
   std::uint64_t seed = 1;
-  // Optional codec sharing / fast-path routing; see SimplexSystemConfig.
+  // Optional codec sharing / borrowed workspace; see SimplexSystemConfig.
   std::shared_ptr<const rs::ReedSolomon> shared_code;
   rs::DecoderWorkspace* workspace = nullptr;
   // Graceful-degradation escalation chain (memory/degradation.h). All
@@ -75,8 +75,7 @@ class DuplexSystem {
   // supports_batched_read() holds.
   //
   // True when read() reduces to {mask, two workspace decodes, select}:
-  // data stored, not retired, not demoted, workspace fast path configured,
-  // every degradation rung disabled.
+  // data stored, not retired, not demoted, every degradation rung disabled.
   bool supports_batched_read() const;
   // Gather + arbiter step 1: raw module reads masked in place, both flag
   // spans rewritten to the common-erasure indicator, `partial` filled with
@@ -146,6 +145,9 @@ class DuplexSystem {
 
   DuplexSystemConfig config_;
   std::shared_ptr<const rs::ReedSolomon> code_;  // must precede arbiter_
+  // Decoder scratch: config.workspace when given, else owned_workspace_.
+  std::unique_ptr<rs::DecoderWorkspace> owned_workspace_;
+  rs::DecoderWorkspace* workspace_;
   Arbiter arbiter_;
   sim::EventQueue queue_;
   // Mutable: rung-1 recovery during a logically-const read() triggers the

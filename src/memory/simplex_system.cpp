@@ -6,25 +6,27 @@
 
 namespace rsmem::memory {
 
-namespace {
-
-std::shared_ptr<const rs::ReedSolomon> resolve_code(
+std::shared_ptr<const rs::ReedSolomon> resolve_system_code(
     const std::shared_ptr<const rs::ReedSolomon>& shared,
-    const rs::CodeParams& params, const char* what) {
+    const rs::CodeParams& params, const char* owner) {
   if (!shared) return std::make_shared<const rs::ReedSolomon>(params);
   if (shared->n() != params.n || shared->k() != params.k ||
       shared->m() != params.m || shared->fcr() != params.fcr) {
-    throw std::invalid_argument(std::string(what) +
+    throw std::invalid_argument(std::string(owner) +
                                 ": shared_code parameters do not match code");
   }
   return shared;
 }
 
-}  // namespace
-
 SimplexSystem::SimplexSystem(const SimplexSystemConfig& config)
     : config_(config),
-      code_(resolve_code(config.shared_code, config.code, "SimplexSystem")),
+      code_(resolve_system_code(config.shared_code, config.code,
+                                "SimplexSystem")),
+      owned_workspace_(config.workspace != nullptr
+                           ? nullptr
+                           : std::make_unique<rs::DecoderWorkspace>()),
+      workspace_(config.workspace != nullptr ? config.workspace
+                                             : owned_workspace_.get()),
       module_(config.code.n, config.code.m),
       word_scratch_(config.code.n, 0) {
   erasure_scratch_.reserve(config.code.n);
@@ -43,11 +45,7 @@ void SimplexSystem::store(std::span<const Element> data) {
   }
   stored_data_.assign(data.begin(), data.end());
   stored_codeword_.assign(code_->n(), 0);
-  if (config_.workspace != nullptr) {
-    code_->encode(*config_.workspace, stored_data_, stored_codeword_);
-  } else {
-    code_->encode_legacy(stored_data_, stored_codeword_);
-  }
+  code_->encode(stored_data_, stored_codeword_);
   commit_store();
 }
 
@@ -123,17 +121,9 @@ void SimplexSystem::advance_to(double t_hours) {
   stats_.permanent_injected = injector_->permanent_injected();
 }
 
-rs::DecodeOutcome SimplexSystem::run_decode(
-    std::span<Element> word, std::span<const unsigned> erasures) const {
-  if (config_.workspace != nullptr) {
-    return code_->decode(*config_.workspace, word, erasures);
-  }
-  return code_->decode_legacy(word, erasures);
-}
-
 rs::DecodeOutcome SimplexSystem::decode_with_recovery(
     std::span<Element> word, std::vector<unsigned>& erasures) const {
-  rs::DecodeOutcome outcome = run_decode(word, erasures);
+  rs::DecodeOutcome outcome = code_->decode(*workspace_, word, erasures);
   const DegradationPolicy& policy = config_.degradation;
   if (!outcome.ok() && policy.retry_with_detection) {
     // Rung 1: trigger the module self-test; located stuck bits become
@@ -144,7 +134,7 @@ rs::DecodeOutcome SimplexSystem::decode_with_recovery(
       module_.detect_all_faults();
       module_.read_into(word);
       module_.detected_erasures_into(erasures);
-      outcome = run_decode(word, erasures);
+      outcome = code_->decode(*workspace_, word, erasures);
       if (outcome.ok()) ++degradation_.retry_recoveries;
     }
   }
@@ -160,7 +150,7 @@ rs::DecodeOutcome SimplexSystem::decode_with_recovery(
       degradation_.banks_condemned += condemned;
       ++degradation_.erasure_only_decodes;
       module_.read_into(word);
-      outcome = run_decode(word, erasures);
+      outcome = code_->decode(*workspace_, word, erasures);
       if (outcome.ok()) ++degradation_.erasure_only_recoveries;
     }
   }
@@ -205,8 +195,7 @@ ReadResult SimplexSystem::read() const {
 }
 
 bool SimplexSystem::supports_batched_read() const {
-  return stored_ && !retired_ && config_.workspace != nullptr &&
-         !config_.degradation.any_enabled();
+  return stored_ && !retired_ && !config_.degradation.any_enabled();
 }
 
 void SimplexSystem::read_into_plane(
@@ -214,7 +203,7 @@ void SimplexSystem::read_into_plane(
   if (!supports_batched_read()) {
     throw std::logic_error(
         "SimplexSystem::read_into_plane: batched read unsupported "
-        "(need stored data, workspace fast path, inert degradation policy)");
+        "(need stored data, inert degradation policy)");
   }
   module_.read_into_plane(word, erasure_flags);
 }
@@ -226,7 +215,7 @@ ReadResult SimplexSystem::finish_batched_read(
         "SimplexSystem::finish_batched_read: batched read unsupported");
   }
   // Replays read()'s tail: with an inert degradation policy
-  // decode_with_recovery is exactly {run_decode, note_decode_result}, and
+  // decode_with_recovery is exactly {decode, note_decode_result}, and
   // the decode already happened externally.
   note_decode_result(outcome.ok());
   ReadResult result;

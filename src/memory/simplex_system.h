@@ -59,16 +59,24 @@ struct SimplexSystemConfig {
   // this codec instead of constructing its own (parameters must match
   // `code`; mismatch throws). Saves the per-trial field/generator build.
   std::shared_ptr<const rs::ReedSolomon> shared_code;
-  // Optional decoder scratch arena: non-null routes every encode/decode
-  // through the allocation-free fast path; null keeps the legacy reference
-  // codec. Results are bit-identical either way. The workspace must outlive
-  // the system and must not be shared across threads.
+  // Optional borrowed decoder scratch arena (campaign workers share one per
+  // thread). When null the system creates and owns one; a system given a
+  // workspace builds none. Every decode runs the workspace path either way.
+  // A borrowed workspace must outlive the system and must not be shared
+  // across threads.
   rs::DecoderWorkspace* workspace = nullptr;
   // Graceful-degradation escalation chain (memory/degradation.h). All
   // features default off; rungs only engage after a decode has failed, so
   // the default policy leaves every output bit-identical.
   DegradationPolicy degradation;
 };
+
+// The codec a simplex/duplex system runs on: `shared` when set (its
+// parameters must match `params`, else std::invalid_argument naming
+// `owner`), otherwise a new codec built from `params`.
+std::shared_ptr<const rs::ReedSolomon> resolve_system_code(
+    const std::shared_ptr<const rs::ReedSolomon>& shared,
+    const rs::CodeParams& params, const char* owner);
 
 class SimplexSystem {
  public:
@@ -104,9 +112,9 @@ class SimplexSystem {
   // identical, and finish_batched_read replays read()'s bookkeeping.
   //
   // True when the per-word read() reduces to exactly {gather, one workspace
-  // decode, finish}: data stored, not retired, workspace fast path
-  // configured, and every degradation rung disabled (the rungs re-read the
-  // module mid-decode, which cannot be batched).
+  // decode, finish}: data stored, not retired, and every degradation rung
+  // disabled (the rungs re-read the module mid-decode, which cannot be
+  // batched).
   bool supports_batched_read() const;
   // Raw module gather: word values + per-symbol detected-erasure flags
   // (both spans of size n), in decode_batch's erasure_flags layout.
@@ -145,18 +153,19 @@ class SimplexSystem {
   void commit_store();
   void scrub();
   void schedule_next_scrub();
-  // Routes through the workspace fast path when configured, else legacy.
-  rs::DecodeOutcome run_decode(std::span<Element> word,
-                               std::span<const unsigned> erasures) const;
-  // run_decode plus the degradation escalation chain (retry-with-detection,
-  // bank-wide erasure fallback) and the consecutive-failure/retire
-  // bookkeeping. With the default policy this is exactly run_decode.
+  // One workspace decode plus the degradation escalation chain
+  // (retry-with-detection, bank-wide erasure fallback) and the
+  // consecutive-failure/retire bookkeeping. With the default policy this is
+  // exactly one decode.
   rs::DecodeOutcome decode_with_recovery(std::span<Element> word,
                                          std::vector<unsigned>& erasures) const;
   void note_decode_result(bool ok) const;
 
   SimplexSystemConfig config_;
   std::shared_ptr<const rs::ReedSolomon> code_;
+  // Decoder scratch: config.workspace when given, else owned_workspace_.
+  std::unique_ptr<rs::DecoderWorkspace> owned_workspace_;
+  rs::DecoderWorkspace* workspace_;
   sim::EventQueue queue_;
   // Mutable: rung-1 recovery during a logically-const read() triggers the
   // module's self-test (detect_all_faults), which is controller-visible

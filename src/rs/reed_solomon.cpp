@@ -303,12 +303,6 @@ void ReedSolomon::encode(std::span<const Element> data,
   }
 }
 
-void ReedSolomon::encode(DecoderWorkspace& /*ws*/,
-                         std::span<const Element> data,
-                         std::span<Element> codeword) const {
-  encode(data, codeword);
-}
-
 void ReedSolomon::encode_legacy(std::span<const Element> data,
                                 std::span<Element> codeword) const {
   validate_encode_args(data, codeword);

@@ -13,25 +13,26 @@
 //   syndromes -> erasure locator -> modified syndromes -> Sugiyama
 //   (extended Euclid) key-equation solver -> Chien search -> Forney.
 //
-// Two implementations of that pipeline coexist:
-//  * the WORKSPACE fast path (`decode(ws, ...)`) — an allocation-free
-//    steady-state codec: all temporaries live in a reusable DecoderWorkspace,
-//    the encoder is a table-driven systematic LFSR, clean words exit straight
-//    from the syndrome pass, and for m <= 8 the inner loops read the field's
-//    dense multiplication table (no log/exp indirection, no zero branches).
-//    On top of that, for m <= 8 the three hot loops — LFSR encoding,
-//    syndrome computation, and Chien search — and the batch plane APIs run
-//    on the runtime-dispatched SIMD kernel layer (gf/simd_mul.h:
-//    PSHUFB/AVX2 split-nibble multiply with a portable SWAR fallback).
-//    When the selected backend is `scalar` (RSMEM_GF_BACKEND=scalar or a
-//    -DRSMEM_DISABLE_SIMD=ON build) every call runs the original scalar
-//    loops, which stay first-class as the A/B control. All backends are
-//    bit-identical: same outcomes, same corrected words, same thrown
-//    errors;
-//  * the LEGACY reference path (`encode_legacy`/`decode_legacy`) — the
-//    original Poly-based implementation, kept verbatim as the differential-
-//    testing baseline. Outputs are bit-identical between the two paths for
-//    every input, including beyond-capability mis-corrections.
+// The production implementation of that pipeline is the WORKSPACE path
+// (`encode`, `decode(ws, ...)` and the batch planes) — an allocation-free
+// steady-state codec: all temporaries live in a reusable DecoderWorkspace,
+// the encoder is a table-driven systematic LFSR, clean words exit straight
+// from the syndrome pass, and for m <= 8 the inner loops read the field's
+// dense multiplication table (no log/exp indirection, no zero branches).
+// On top of that, for m <= 8 the three hot loops — LFSR encoding, syndrome
+// computation, and Chien search — and the batch plane APIs run on the
+// runtime-dispatched SIMD kernel layer (gf/simd_mul.h: PSHUFB/AVX2
+// split-nibble or GFNI affine multiply). When the selected backend is
+// `scalar` (RSMEM_GF_BACKEND=scalar, a host without SSSE3, or a
+// -DRSMEM_DISABLE_SIMD=ON build) every call runs the plain scalar loops.
+// All backends are bit-identical: same outcomes, same corrected words, same
+// thrown errors.
+//
+// `encode_legacy`/`decode_legacy` are the original Poly-based
+// implementation, kept verbatim as a TEST ORACLE only (differential tests
+// and bench baselines); no production code path calls them. Outputs are
+// bit-identical to the workspace path for every input, including
+// beyond-capability mis-corrections.
 //
 // Failure semantics matter to the duplex arbiter (paper Section 3):
 //  * kNoError   - the word is already a codeword; nothing changed.
@@ -164,10 +165,6 @@ class ReedSolomon {
   // Throws std::invalid_argument on size mismatch or out-of-field symbols.
   void encode(std::span<const Element> data, std::span<Element> codeword) const;
   std::vector<Element> encode(std::span<const Element> data) const;
-  // Workspace overload for API symmetry with decode (the encoder itself
-  // needs no scratch).
-  void encode(DecoderWorkspace& ws, std::span<const Element> data,
-              std::span<Element> codeword) const;
 
   // In-place errors-and-erasures decoding through a workspace: the
   // allocation-free fast path. `erasure_positions` lists indices in [0, n)
@@ -196,9 +193,9 @@ class ReedSolomon {
                     std::span<DecodeOutcome> outcomes,
                     std::span<const std::uint8_t> erasure_flags = {}) const;
 
-  // Legacy Poly-based reference implementations, kept verbatim as the
-  // baseline for differential tests and BENCH_codec.json comparisons.
-  // Bit-identical to the fast path on every input.
+  // Legacy Poly-based reference implementations: a test oracle for the
+  // differential tests and BENCH_codec.json baselines, never called by
+  // production code. Bit-identical to the workspace path on every input.
   void encode_legacy(std::span<const Element> data,
                      std::span<Element> codeword) const;
   DecodeOutcome decode_legacy(

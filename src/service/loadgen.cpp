@@ -24,6 +24,7 @@ struct Sample {
   CacheSource source = CacheSource::kNone;
   bool ok = false;
   bool rejected = false;  // typed kOverloaded admission rejection
+  bool shed = false;      // typed kBrownout degradation shed
 };
 
 double percentile(std::vector<double>& sorted, double q) {
@@ -42,6 +43,8 @@ Sample classify(const Response& response, double latency_ms) {
     sample.source = response.cache;
   } else if (response.status.code() == core::StatusCode::kOverloaded) {
     sample.rejected = true;
+  } else if (response.status.code() == core::StatusCode::kBrownout) {
+    sample.shed = true;
   }
   return sample;
 }
@@ -259,6 +262,10 @@ core::Result<LoadgenReport> run_loadgen(const LoadgenConfig& config) {
         ++report.rejected;
         continue;
       }
+      if (sample.shed) {
+        ++report.shed;
+        continue;
+      }
       if (!sample.ok) {
         ++report.errors;
         continue;
@@ -340,6 +347,7 @@ std::string format_loadgen_report(const LoadgenConfig& config,
   table.add_row({"distinct keys", std::to_string(config.distinct)});
   table.add_row({"completed", std::to_string(report.requests)});
   table.add_row({"rejected (overload)", std::to_string(report.rejected)});
+  table.add_row({"shed (brown-out)", std::to_string(report.shed)});
   table.add_row({"errors", std::to_string(report.errors)});
   table.add_row({"elapsed [s]",
                  analysis::format_fixed(report.elapsed_seconds, 3)});
@@ -391,6 +399,7 @@ std::string loadgen_report_json(const LoadgenConfig& config,
   object.emplace("config", std::move(config_json));
   object.emplace("requests", static_cast<double>(report.requests));
   object.emplace("rejected", static_cast<double>(report.rejected));
+  object.emplace("shed", static_cast<double>(report.shed));
   object.emplace("errors", static_cast<double>(report.errors));
   object.emplace("elapsed_seconds", report.elapsed_seconds);
   object.emplace("offered_rps", report.offered_rps);
@@ -437,7 +446,8 @@ core::Result<std::vector<ShardScalingPoint>> run_shard_scaling(
 std::string format_shard_scaling(
     const std::vector<ShardScalingPoint>& points) {
   analysis::Table table{{"shards", "throughput [req/s]", "p50 [ms]",
-                         "p99 [ms]", "rejected", "errors", "speedup"}};
+                         "p99 [ms]", "rejected", "shed", "errors",
+                         "speedup"}};
   const double base_rps =
       points.empty() ? 0.0 : points.front().report.throughput_rps;
   for (const ShardScalingPoint& point : points) {
@@ -448,6 +458,7 @@ std::string format_shard_scaling(
                    analysis::format_fixed(point.report.p50_ms, 3),
                    analysis::format_fixed(point.report.p99_ms, 3),
                    std::to_string(point.report.rejected),
+                   std::to_string(point.report.shed),
                    std::to_string(point.report.errors),
                    analysis::format_fixed(speedup, 2)});
   }
@@ -464,6 +475,7 @@ Json shard_scaling_json(const std::vector<ShardScalingPoint>& points) {
     entry.emplace("shards", static_cast<double>(point.shards));
     entry.emplace("requests", static_cast<double>(point.report.requests));
     entry.emplace("rejected", static_cast<double>(point.report.rejected));
+    entry.emplace("shed", static_cast<double>(point.report.shed));
     entry.emplace("errors", static_cast<double>(point.report.errors));
     entry.emplace("offered_rps", point.report.offered_rps);
     entry.emplace("throughput_rps", point.report.throughput_rps);

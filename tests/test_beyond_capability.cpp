@@ -16,7 +16,10 @@
 // codewords and checks the decoder (fast path AND legacy path,
 // differentially) against that ground truth, pinning down the exact
 // decode-failure vs mis-correction split the paper's P_ue analysis relies
-// on. Erasure boundary cases (erasures + 2*errors == n-k) ride along.
+// on. Erasure boundary cases (erasures + 2*errors == n-k) ride along, and
+// an exhaustive sweep of every erasure subset within capability (every
+// erased-value assignment, plus every single error where it still fits)
+// pins the errors-and-erasures path.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -227,50 +230,78 @@ TEST_F(WeightSweep, Weight4SplitMatchesNearestCodeword) {
   EXPECT_EQ(w4.miscorrected + w4.failures, w4.patterns);
 }
 
+// Past the erasure capability boundary (ExhaustiveErasureSubsetsDecode
+// covers every pattern up to it).
 TEST_F(BeyondCapabilityTest, ErasureCapabilityBoundary) {
   const std::array<Element, kN>& base = codewords_[0b110'001'010];
   rs::DecoderWorkspace ws;
-
-  // n-k = 4 erasures, 0 errors: exactly at the capability boundary.
-  {
-    std::array<Element, kN> word = base;
-    word[0] ^= 3;
-    word[2] ^= 5;
-    word[5] ^= 1;
-    word[6] ^= 7;
-    const unsigned erasures[] = {0, 2, 5, 6};
-    const rs::DecodeOutcome outcome = code_.decode(ws, word, erasures);
-    EXPECT_EQ(outcome.status, rs::DecodeStatus::kCorrected);
-    EXPECT_EQ(outcome.erasures_corrected, 4u);
-    EXPECT_EQ(word, base);
-  }
-  // 2 erasures + 1 random error: 2 + 2*1 = 4 = n-k, still guaranteed.
-  {
-    std::array<Element, kN> word = base;
-    word[1] ^= 6;  // erased
-    word[4] ^= 2;  // erased
-    word[3] ^= 4;  // random error
-    const unsigned erasures[] = {1, 4};
-    const rs::DecodeOutcome outcome = code_.decode(ws, word, erasures);
-    EXPECT_EQ(outcome.status, rs::DecodeStatus::kCorrected);
-    EXPECT_EQ(word, base);
-  }
   // 3 erasures + 1 random error: 3 + 2 = 5 > n-k, beyond the guarantee --
   // and for this pattern the decoder must detect and refuse.
-  {
-    std::array<Element, kN> word = base;
-    word[0] ^= 1;
-    word[1] ^= 2;
-    word[2] ^= 3;  // erased trio
-    word[5] ^= 6;  // random error
-    const unsigned erasures[] = {0, 1, 2};
-    const rs::DecodeOutcome outcome = code_.decode(ws, word, erasures);
-    EXPECT_NE(outcome.status, rs::DecodeStatus::kNoError);
-    if (outcome.status == rs::DecodeStatus::kCorrected) {
-      // If it does gamble, the result must at least be a real codeword.
-      EXPECT_TRUE(code_.is_codeword(word));
+  std::array<Element, kN> word = base;
+  word[0] ^= 1;
+  word[1] ^= 2;
+  word[2] ^= 3;  // erased trio
+  word[5] ^= 6;  // random error
+  const unsigned erasures[] = {0, 1, 2};
+  const rs::DecodeOutcome outcome = code_.decode(ws, word, erasures);
+  EXPECT_NE(outcome.status, rs::DecodeStatus::kNoError);
+  if (outcome.status == rs::DecodeStatus::kCorrected) {
+    // If it does gamble, the result must at least be a real codeword.
+    EXPECT_TRUE(code_.is_codeword(word));
+  }
+}
+
+// Exhaustive erasure-subset sweep: every erasure subset S of size <= n-k
+// (99 subsets), every assignment of values to the erased positions
+// (8^|S|, the true values included) and, while S leaves room for one
+// random error (|S| + 2 <= n-k), every single error outside S. Each word is
+// within capability, so it must decode to the true codeword with exact
+// correction counts, bit-identically to decode_legacy.
+TEST_F(BeyondCapabilityTest, ExhaustiveErasureSubsetsDecode) {
+  const std::array<Element, kN>& base = codewords_[0b110'001'010];
+  rs::DecoderWorkspace ws;
+  std::uint64_t words = 0;
+  for (unsigned mask = 0; mask < (1u << kN); ++mask) {
+    std::vector<unsigned> erased;
+    for (unsigned p = 0; p < kN; ++p) {
+      if ((mask >> p) & 1u) erased.push_back(p);
+    }
+    if (erased.size() > kN - kK) continue;
+    // e = 0: no random error; else position (e-1)/7 gets diff (e-1)%7 + 1.
+    const unsigned error_choices =
+        erased.size() + 2 <= kN - kK ? kN * (kQ - 1) : 0;
+    for (unsigned values = 0; values < (1u << (kM * erased.size()));
+         ++values) {
+      for (unsigned e = 0; e <= error_choices; ++e) {
+        const unsigned pos = e == 0 ? kN : (e - 1) / (kQ - 1);
+        if (pos < kN && ((mask >> pos) & 1u)) continue;
+        std::array<Element, kN> received = base;
+        unsigned changed = 0;
+        for (unsigned i = 0; i < erased.size(); ++i) {
+          received[erased[i]] = (values >> (kM * i)) & (kQ - 1);
+          changed += received[erased[i]] != base[erased[i]];
+        }
+        if (pos < kN) received[pos] ^= (e - 1) % (kQ - 1) + 1;
+        ++words;
+        std::array<Element, kN> fast = received;
+        std::array<Element, kN> legacy = received;
+        const rs::DecodeOutcome got = code_.decode(ws, fast, erased);
+        const rs::DecodeOutcome want = code_.decode_legacy(legacy, erased);
+        ASSERT_EQ(fast, base) << "mask=" << mask << " values=" << values
+                              << " e=" << e;
+        ASSERT_EQ(legacy, fast);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got.status, want.status);
+        ASSERT_EQ(got.errors_corrected, pos < kN ? 1u : 0u);
+        ASSERT_EQ(want.errors_corrected, got.errors_corrected);
+        ASSERT_EQ(got.erasures_corrected, changed);
+        ASSERT_EQ(want.erasures_corrected, changed);
+      }
     }
   }
+  // sum over |S| <= 4 of C(7,|S|) * 8^|S| erased-value assignments, times
+  // 1 + 7 * (7 - |S|) error choices while |S| <= 2.
+  EXPECT_EQ(words, 1u * 50 + 56 * 43 + 1344 * 36 + 17920 + 143360);
 }
 
 }  // namespace

@@ -123,7 +123,7 @@ TEST(Cli, VersionListsCompiledAndSupportedBackends) {
   };
   const std::string compiled = line_after("gf backends compiled:");
   const std::string supported = line_after("gf backends supported:");
-  for (const char* always : {"scalar", "swar"}) {
+  for (const char* always : {"scalar"}) {
     EXPECT_NE(compiled.find(always), std::string::npos) << compiled;
     EXPECT_NE(supported.find(always), std::string::npos) << supported;
   }

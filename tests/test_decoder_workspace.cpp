@@ -1,13 +1,12 @@
 // Tests for the allocation-free DecoderWorkspace fast path: differential
 // equivalence with the legacy Poly-based decoder over every fault regime
 // (including beyond-capability mis-corrections), workspace reuse hygiene,
-// the batch API, and Monte-Carlo campaign bit-identicality.
+// and the batch API.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
-#include "analysis/monte_carlo.h"
 #include "rs/reed_solomon.h"
 #include "sim/rng.h"
 
@@ -294,54 +293,6 @@ TEST(DecoderWorkspace, ReserveMakesFirstDecodeAllocationStable) {
   for (const unsigned p : positions) corrupt_symbol(word, p, code, rng);
   ASSERT_EQ(code.decode(ws, word).status, DecodeStatus::kCorrected);
   EXPECT_EQ(code.extract_data(word), data);
-}
-
-// The campaign engine with the shared-codec fast path must reproduce the
-// legacy per-trial-codec campaign EXACTLY — same failure counts, same fault
-// tallies — for simplex and duplex, across thread counts.
-TEST(DecoderWorkspace, MonteCarloFastPathBitIdenticalToLegacy) {
-  analysis::MonteCarloConfig mc;
-  mc.trials = 600;
-  mc.t_end_hours = 200.0;
-  mc.seed = 2026;
-  mc.chunk_trials = 64;
-
-  memory::SimplexSystemConfig simplex;
-  simplex.code = {18, 16, 8, 1};
-  simplex.rates.seu_rate_per_bit_hour = 2e-4;
-  simplex.rates.perm_rate_per_symbol_hour = 2e-5;
-
-  memory::DuplexSystemConfig duplex;
-  duplex.code = {18, 16, 8, 1};
-  duplex.rates = simplex.rates;
-
-  for (const unsigned threads : {1u, 4u}) {
-    mc.threads = threads;
-    mc.legacy_codec = true;
-    const analysis::MonteCarloResult s_legacy =
-        analysis::run_simplex_trials(simplex, mc);
-    const analysis::MonteCarloResult d_legacy =
-        analysis::run_duplex_trials(duplex, mc);
-    mc.legacy_codec = false;
-    const analysis::MonteCarloResult s_fast =
-        analysis::run_simplex_trials(simplex, mc);
-    const analysis::MonteCarloResult d_fast =
-        analysis::run_duplex_trials(duplex, mc);
-
-    EXPECT_EQ(s_fast.failure.failures, s_legacy.failure.failures);
-    EXPECT_EQ(s_fast.no_output_failures, s_legacy.no_output_failures);
-    EXPECT_EQ(s_fast.wrong_data_failures, s_legacy.wrong_data_failures);
-    EXPECT_EQ(s_fast.mean_seu_per_trial, s_legacy.mean_seu_per_trial);
-    EXPECT_EQ(s_fast.mean_permanent_per_trial,
-              s_legacy.mean_permanent_per_trial);
-
-    EXPECT_EQ(d_fast.failure.failures, d_legacy.failure.failures);
-    EXPECT_EQ(d_fast.no_output_failures, d_legacy.no_output_failures);
-    EXPECT_EQ(d_fast.wrong_data_failures, d_legacy.wrong_data_failures);
-    EXPECT_EQ(d_fast.mean_seu_per_trial, d_legacy.mean_seu_per_trial);
-    EXPECT_EQ(d_fast.mean_permanent_per_trial,
-              d_legacy.mean_permanent_per_trial);
-  }
 }
 
 }  // namespace

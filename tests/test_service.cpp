@@ -887,9 +887,9 @@ TEST(ServiceLoadgen, OpenLoopShardedRunAccountsForEveryRequest) {
 
 TEST(ServiceLoadgen, OpenLoopOverloadCountsRejectionsNotErrors) {
   // Deliberate overload: 1 worker, a queue of 1, a global backstop of 2,
-  // and a flood of distinct keys pipelined flat-out. The relief valve is
-  // typed kOverloaded — the loadgen must file those under `rejected`,
-  // keep `errors` at zero, and still account for every request.
+  // and a flood of distinct keys pipelined flat-out. The relief valves are
+  // typed: kOverloaded files under `rejected`, brown-out sheds under
+  // `shed`; `errors` stays zero and every request is accounted for.
   LoadgenConfig config;
   config.self_host = true;
   config.open_loop = true;
@@ -907,7 +907,7 @@ TEST(ServiceLoadgen, OpenLoopOverloadCountsRejectionsNotErrors) {
   const LoadgenReport& report = ran.value();
   EXPECT_EQ(report.errors, 0u);
   EXPECT_GT(report.rejected, 0u);
-  EXPECT_EQ(report.requests + report.rejected,
+  EXPECT_EQ(report.requests + report.rejected + report.shed,
             static_cast<std::size_t>(config.clients) *
                 config.requests_per_client);
 }

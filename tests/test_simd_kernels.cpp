@@ -1,9 +1,9 @@
 // Differential suite for the SIMD GF(2^m) kernel layer (gf/simd_mul.h).
 //
-// The kernel layer's contract is BIT-IDENTITY: every backend (swar, ssse3,
-// avx2) must produce exactly the bytes of the scalar reference, and the
+// The kernel layer's contract is BIT-IDENTITY: every backend (ssse3, avx2,
+// gfni) must produce exactly the bytes of the scalar reference, and the
 // codec must produce exactly the same outcomes and corrected words whether
-// it runs kernels or its original scalar loops. This binary pins that
+// it runs kernels or its plain scalar loops. This binary pins that
 // contract at three levels:
 //
 //   1. kernel level   — mul_const_acc/xor_acc for every backend, every
@@ -64,32 +64,14 @@ std::vector<simd::Backend> supported_backends() {
   return out;
 }
 
-const simd::Kernels* kernels_of(simd::Backend b) {
-  switch (b) {
-    case simd::Backend::kScalar:
-      return simd::scalar_kernels();
-    case simd::Backend::kSwar:
-      return simd::swar_kernels();
-    case simd::Backend::kSsse3:
-      return simd::ssse3_kernels();
-    case simd::Backend::kAvx2:
-      return simd::avx2_kernels();
-    case simd::Backend::kGfni:
-      return simd::gfni_kernels();
-  }
-  return nullptr;
-}
-
-// Lengths that straddle every backend's step size (8, 16, 32) plus the
+// Lengths that straddle every backend's step size (16, 32, 64) plus the
 // scalar tails on either side of each boundary.
 const std::size_t kLengths[] = {0,  1,  3,  7,  8,  9,  15, 16, 17,
                                 31, 32, 33, 63, 64, 65, 100};
 
 TEST(SimdKernels, BaselineBackendsAlwaysSupported) {
   EXPECT_TRUE(simd::backend_supported(simd::Backend::kScalar));
-  EXPECT_TRUE(simd::backend_supported(simd::Backend::kSwar));
-  EXPECT_NE(kernels_of(simd::Backend::kScalar), nullptr);
-  EXPECT_NE(kernels_of(simd::Backend::kSwar), nullptr);
+  EXPECT_NE(simd::kernels_for(simd::Backend::kScalar), nullptr);
   // The process selection is one of the supported backends.
   EXPECT_TRUE(simd::backend_supported(simd::active().backend));
   EXPECT_STREQ(simd::to_string(simd::active().backend), simd::active().name);
@@ -102,8 +84,8 @@ TEST(SimdKernels, ForceBackendRejectsUnsupported) {
     if (simd::backend_supported(b)) continue;
     EXPECT_FALSE(simd::force_backend(b));
   }
-  ASSERT_TRUE(simd::force_backend(simd::Backend::kSwar));
-  EXPECT_EQ(simd::active().backend, simd::Backend::kSwar);
+  ASSERT_TRUE(simd::force_backend(simd::Backend::kScalar));
+  EXPECT_EQ(simd::active().backend, simd::Backend::kScalar);
 }
 
 // The scalar kernel IS the reference, so it gets its own independent check:
@@ -127,7 +109,7 @@ TEST(SimdKernels, ScalarKernelMatchesFieldExhaustively) {
 // Every compiled backend against the scalar kernels: all constants of
 // m in {2,3,4,8}, all boundary-straddling lengths, unaligned src/dst.
 TEST(SimdKernels, MulConstAccBitIdenticalAcrossBackends) {
-  const auto* scalar = simd::scalar_kernels();
+  const auto* scalar = simd::kernels_for(simd::Backend::kScalar);
   const auto backends = supported_backends();
   for (const unsigned m : {2u, 3u, 4u, 8u}) {
     const GaloisField field(m);
@@ -147,8 +129,8 @@ TEST(SimdKernels, MulConstAccBitIdenticalAcrossBackends) {
             scalar->mul_const_acc(want.data(), src.data() + src_off, t, len);
             for (const simd::Backend b : backends) {
               std::vector<std::uint8_t> got(dst.begin() + dst_off, dst.end());
-              kernels_of(b)->mul_const_acc(got.data(), src.data() + src_off,
-                                           t, len);
+              simd::kernels_for(b)->mul_const_acc(
+                  got.data(), src.data() + src_off, t, len);
               ASSERT_EQ(got, want)
                   << simd::to_string(b) << " m=" << m << " c=" << c
                   << " len=" << len << " soff=" << src_off
@@ -162,7 +144,7 @@ TEST(SimdKernels, MulConstAccBitIdenticalAcrossBackends) {
 }
 
 TEST(SimdKernels, XorAccBitIdenticalAcrossBackends) {
-  const auto* scalar = simd::scalar_kernels();
+  const auto* scalar = simd::kernels_for(simd::Backend::kScalar);
   const auto backends = supported_backends();
   std::mt19937 rng(0xA5A5);
   std::uniform_int_distribution<unsigned> byte(0, 255);
@@ -176,7 +158,7 @@ TEST(SimdKernels, XorAccBitIdenticalAcrossBackends) {
       scalar->xor_acc(want.data(), src.data() + off, len);
       for (const simd::Backend b : backends) {
         std::vector<std::uint8_t> got(dst.begin() + off, dst.end());
-        kernels_of(b)->xor_acc(got.data(), src.data() + off, len);
+        simd::kernels_for(b)->xor_acc(got.data(), src.data() + off, len);
         ASSERT_EQ(got, want)
             << simd::to_string(b) << " len=" << len << " off=" << off;
       }
@@ -189,7 +171,7 @@ TEST(SimdKernels, XorAccBitIdenticalAcrossBackends) {
 // around the codec's two_t sweeps, rows packed at stride = len + slack so
 // out-of-row writes would corrupt a neighbour and fail the compare.
 TEST(SimdKernels, MulRowsAccMatchesMulConstAccLoop) {
-  const auto* scalar = simd::scalar_kernels();
+  const auto* scalar = simd::kernels_for(simd::Backend::kScalar);
   for (const unsigned m : {3u, 8u}) {
     const GaloisField field(m);
     std::mt19937 rng(0xF05ED + m);
@@ -215,7 +197,7 @@ TEST(SimdKernels, MulRowsAccMatchesMulConstAccLoop) {
                                   src.data() + src_off, tables[r], len);
           }
           for (const simd::Backend b : supported_backends()) {
-            const simd::Kernels* kn = kernels_of(b);
+            const simd::Kernels* kn = simd::kernels_for(b);
             if (kn->mul_rows_acc == nullptr) continue;
             std::vector<std::uint8_t> got = dst;
             kn->mul_rows_acc(got.data(), stride, src.data() + src_off,
@@ -238,7 +220,8 @@ TEST(SimdKernels, ZeroConstantLeavesDstUntouched) {
     std::vector<std::uint8_t> src(100, 0x3);
     for (const simd::Backend b : supported_backends()) {
       std::vector<std::uint8_t> dst(100, 0x7);
-      kernels_of(b)->mul_const_acc(dst.data(), src.data(), t, dst.size());
+      simd::kernels_for(b)->mul_const_acc(dst.data(), src.data(), t,
+                                          dst.size());
       EXPECT_EQ(dst, std::vector<std::uint8_t>(100, 0x7))
           << simd::to_string(b);
     }

@@ -1,15 +1,20 @@
 // Equivalence tests for the parallel sweep engine: the cached/parallel
-// path must reproduce the legacy serial per-point path for every figure
+// path must reproduce a serial per-point build-and-solve for every figure
 // workload of the paper, identically across thread counts, and the chain
 // cache's replayed generators must be bitwise equal to direct builds.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "analysis/code_search.h"
 #include "analysis/experiment.h"
+#include "core/units.h"
+#include "markov/uniformization.h"
+#include "models/ber.h"
 #include "models/chain_cache.h"
 #include "models/duplex_model.h"
 #include "models/simplex_model.h"
@@ -17,22 +22,63 @@
 namespace rsmem::analysis {
 namespace {
 
-constexpr SweepOptions kLegacy{1, false};
-constexpr SweepOptions kEngine1{1, true};
-constexpr SweepOptions kEngine4{4, true};
+constexpr SweepOptions kEngine1{1};
+constexpr SweepOptions kEngine4{4};
 
-double max_rel_diff(const std::vector<Series>& a,
-                    const std::vector<Series>& b) {
-  EXPECT_EQ(a.size(), b.size());
+using Rates = std::array<double, 3>;  // {seu, erasure, scrub}, per hour
+
+// The reference: a serial loop of models::simplex_ber_curve /
+// duplex_ber_curve with a plain UniformizationSolver -- a fresh chain build
+// and solve per point, no cache, no workspace, no thread pool.
+std::vector<std::vector<double>> reference_sweep(
+    Arrangement arrangement, const CodeSpec& code,
+    const std::vector<Rates>& points, std::span<const double> times) {
+  const markov::UniformizationSolver solver;
+  std::vector<std::vector<double>> out;
+  for (const auto& [seu, erasure, scrub] : points) {
+    const auto fill = [&](auto params) {
+      params.n = code.n;
+      params.k = code.k;
+      params.m = code.m;
+      params.seu_rate_per_bit_hour = seu;
+      params.erasure_rate_per_symbol_hour = erasure;
+      params.scrub_rate_per_hour = scrub;
+      return params;
+    };
+    out.push_back(
+        arrangement == Arrangement::kSimplex
+            ? models::simplex_ber_curve(fill(models::SimplexParams{}), times,
+                                        solver)
+                  .ber
+            : models::duplex_ber_curve(fill(models::DuplexParams{}), times,
+                                       solver)
+                  .ber);
+  }
+  return out;
+}
+
+// One point per per-day rate, converted to per hour into slot `slot`.
+std::vector<Rates> per_day_points(std::span<const double> per_day,
+                                  std::size_t slot) {
+  std::vector<Rates> out(per_day.size(), Rates{});
+  for (std::size_t i = 0; i < per_day.size(); ++i) {
+    out[i][slot] = core::per_day_to_per_hour(per_day[i]);
+  }
+  return out;
+}
+
+double max_rel_diff(const std::vector<Series>& engine,
+                    const std::vector<std::vector<double>>& reference) {
+  EXPECT_EQ(engine.size(), reference.size());
   double worst = 0.0;
-  for (std::size_t s = 0; s < a.size() && s < b.size(); ++s) {
-    EXPECT_EQ(a[s].label, b[s].label);
-    EXPECT_EQ(a[s].x, b[s].x);
-    EXPECT_EQ(a[s].y.size(), b[s].y.size());
-    for (std::size_t i = 0; i < a[s].y.size() && i < b[s].y.size(); ++i) {
+  for (std::size_t s = 0; s < engine.size() && s < reference.size(); ++s) {
+    const std::vector<double>& a = engine[s].y;
+    const std::vector<double>& b = reference[s];
+    EXPECT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
       const double scale =
-          std::max({std::fabs(a[s].y[i]), std::fabs(b[s].y[i]), 1e-300});
-      worst = std::max(worst, std::fabs(a[s].y[i] - b[s].y[i]) / scale);
+          std::max({std::fabs(a[i]), std::fabs(b[i]), 1e-300});
+      worst = std::max(worst, std::fabs(a[i] - b[i]) / scale);
     }
   }
   return worst;
@@ -58,51 +104,61 @@ constexpr double kScrubPeriods[] = {900.0, 1200.0, 1800.0, 3600.0};
 
 TEST(SweepEngine, Fig5SimplexSeuMatchesLegacy) {
   const CodeSpec code{18, 16, 8};
-  const auto legacy = seu_rate_sweep(Arrangement::kSimplex, code, kSeuRates,
-                                     48.0, kPoints, kLegacy);
   const auto engine = seu_rate_sweep(Arrangement::kSimplex, code, kSeuRates,
                                      48.0, kPoints, kEngine4);
-  EXPECT_LE(max_rel_diff(legacy, engine), 1e-12);
+  const auto reference =
+      reference_sweep(Arrangement::kSimplex, code, per_day_points(kSeuRates, 0),
+                      models::time_grid_hours(48.0, kPoints));
+  EXPECT_LE(max_rel_diff(engine, reference), 1e-12);
 }
 
 TEST(SweepEngine, Fig6DuplexSeuMatchesLegacy) {
   const CodeSpec code{18, 16, 8};
-  const auto legacy = seu_rate_sweep(Arrangement::kDuplex, code, kSeuRates,
-                                     48.0, kPoints, kLegacy);
   const auto engine = seu_rate_sweep(Arrangement::kDuplex, code, kSeuRates,
                                      48.0, kPoints, kEngine4);
-  EXPECT_LE(max_rel_diff(legacy, engine), 1e-12);
+  const auto reference =
+      reference_sweep(Arrangement::kDuplex, code, per_day_points(kSeuRates, 0),
+                      models::time_grid_hours(48.0, kPoints));
+  EXPECT_LE(max_rel_diff(engine, reference), 1e-12);
 }
 
 TEST(SweepEngine, Fig7DuplexScrubbingMatchesLegacy) {
   const CodeSpec code{18, 16, 8};
-  const auto legacy = scrub_period_sweep(Arrangement::kDuplex, code, 1.7e-5,
-                                         kScrubPeriods, 48.0, kPoints, kLegacy);
   const auto engine = scrub_period_sweep(Arrangement::kDuplex, code, 1.7e-5,
                                          kScrubPeriods, 48.0, kPoints,
                                          kEngine4);
-  EXPECT_LE(max_rel_diff(legacy, engine), 1e-12);
+  std::vector<Rates> points;
+  for (const double period : kScrubPeriods) {
+    points.push_back({core::per_day_to_per_hour(1.7e-5), 0.0,
+                      core::scrub_rate_per_hour(period)});
+  }
+  const auto reference = reference_sweep(
+      Arrangement::kDuplex, code, points, models::time_grid_hours(48.0, kPoints));
+  EXPECT_LE(max_rel_diff(engine, reference), 1e-12);
 }
 
 TEST(SweepEngine, Fig8And9PermanentMatchesLegacy) {
   const CodeSpec code{18, 16, 8};
+  const auto times =
+      models::time_grid_hours(core::months_to_hours(24.0), kPoints);
   for (const Arrangement arr :
        {Arrangement::kSimplex, Arrangement::kDuplex}) {
-    const auto legacy =
-        permanent_rate_sweep(arr, code, kPermRates, 24.0, kPoints, kLegacy);
     const auto engine =
         permanent_rate_sweep(arr, code, kPermRates, 24.0, kPoints, kEngine4);
-    EXPECT_LE(max_rel_diff(legacy, engine), 1e-12) << to_string(arr);
+    const auto reference =
+        reference_sweep(arr, code, per_day_points(kPermRates, 1), times);
+    EXPECT_LE(max_rel_diff(engine, reference), 1e-12) << to_string(arr);
   }
 }
 
 TEST(SweepEngine, Fig10Rs3616PermanentMatchesLegacy) {
   const CodeSpec wide{36, 16, 8};
-  const auto legacy = permanent_rate_sweep(Arrangement::kSimplex, wide,
-                                           kPermRates, 24.0, kPoints, kLegacy);
   const auto engine = permanent_rate_sweep(Arrangement::kSimplex, wide,
                                            kPermRates, 24.0, kPoints, kEngine4);
-  EXPECT_LE(max_rel_diff(legacy, engine), 1e-12);
+  const auto reference = reference_sweep(
+      Arrangement::kSimplex, wide, per_day_points(kPermRates, 1),
+      models::time_grid_hours(core::months_to_hours(24.0), kPoints));
+  EXPECT_LE(max_rel_diff(engine, reference), 1e-12);
 }
 
 TEST(SweepEngine, ThreadCountDoesNotChangeResults) {

@@ -102,7 +102,7 @@ TEST_P(ZeroAlloc, SteadyStateDecodeDoesNotAllocate) {
       code.decode(ws, scratch, {});                      // full pipeline
       std::copy(erased_word.begin(), erased_word.end(), scratch.begin());
       code.decode(ws, scratch, erasures);                // erasure pipeline
-      code.encode(ws, data, scratch);                    // LFSR encoder
+      code.encode(data, scratch);                        // LFSR encoder
     }
   });
   EXPECT_EQ(count, 0u) << "steady-state codec calls must not hit the heap";
