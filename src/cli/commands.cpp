@@ -4,7 +4,6 @@
 #include <fstream>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <cmath>
@@ -93,12 +92,12 @@ int cmd_help(std::ostream& out) {
          "            [--threads T] (deterministic per seed; exit 0 iff\n"
          "            every scenario matches its expected verdict)\n"
          "  serve     long-running analysis daemon (rsmem-serve)\n"
-         "            --socket PATH | --listen HOST:PORT [--shards S]\n"
+         "            --socket PATH | --listen HOST:PORT\n"
          "            [--threads T] [--max-queue N] [--cache N] [--batch B]\n"
          "            [--snapshot FILE] [--idle-timeout-ms MS]\n"
          "            [--max-frames-per-second R] [--max-frame-bytes N]\n"
-         "            (per-shard queue/cache; requests route by cache key;\n"
-         "            --snapshot persists the cache across restarts)\n"
+         "            (one scheduler with T workers; --snapshot persists\n"
+         "            the cache across restarts)\n"
          "  query     one request against a running server\n"
          "            --at unix:PATH|HOST:PORT --kind ber|mttf|sweep|ping|\n"
          "            stats|shutdown [spec] [--hours H --points P]\n"
@@ -106,8 +105,7 @@ int cmd_help(std::ostream& out) {
          "  loadgen   N concurrent clients; p50/p99 + cache hit rate\n"
          "            [--self-host | --at ...] [--clients N --requests R\n"
          "            --distinct K] [--kind sweep|ber|mttf] [spec]\n"
-         "            [--shards S] [--open-loop [--rate RPS]]\n"
-         "            [--shard-sweep 1,2,4] [--json BENCH_serve.json]\n"
+         "            [--open-loop [--rate RPS]] [--json BENCH_serve.json]\n"
          "            (open loop pipelines scheduled arrivals; kOverloaded\n"
          "            rejections and kBrownout sheds count separately\n"
          "            from errors)\n"
@@ -543,19 +541,9 @@ service::Request request_from(const Args& args, const std::string& kind) {
   return request;
 }
 
-// --shards N (>= 1), shared by serve and loadgen.
-unsigned shards_from(const Args& args) {
-  const long shards = args.get_long_or("shards", 1);
-  if (shards < 1) {
-    throw core::StatusError(core::Status::invalid_config(
-        "--shards must be >= 1, got " + std::to_string(shards)));
-  }
-  return static_cast<unsigned>(shards);
-}
-
 int cmd_serve(const Args& args, std::ostream& out) {
   args.require_known({"socket", "listen", "threads", "max-queue", "cache",
-                      "batch", "shards", "snapshot", "idle-timeout-ms",
+                      "batch", "snapshot", "idle-timeout-ms",
                       "max-frames-per-second", "max-frame-bytes"});
   if (args.has("socket") && args.has("listen")) {
     throw ArgError("pass --socket PATH or --listen HOST:PORT, not both");
@@ -567,8 +555,7 @@ int cmd_serve(const Args& args, std::ostream& out) {
     config.endpoint = service::Endpoint::unix_socket(
         args.get_string_or("socket", "/tmp/rsmem-serve.sock"));
   }
-  config.router.scheduler = scheduler_config_from(args);
-  config.router.shards = shards_from(args);
+  config.scheduler = scheduler_config_from(args);
   config.snapshot_path = args.get_string_or("snapshot", "");
   const double idle_ms = args.get_double_or("idle-timeout-ms", 0.0);
   const double frame_rate = args.get_double_or("max-frames-per-second", 0.0);
@@ -587,11 +574,10 @@ int cmd_serve(const Args& args, std::ostream& out) {
   if (!started.ok()) throw core::StatusError(started.status());
   const std::unique_ptr<service::Server> server = std::move(started).value();
   out << "rsmem-serve listening on " << server->endpoint().to_string()
-      << " (shards=" << server->shard_count() << " threads="
-      << sim::ThreadPool::resolve(config.router.scheduler.threads)
-      << " max-queue=" << config.router.scheduler.max_queue
-      << " cache=" << config.router.scheduler.cache_capacity
-      << " batch=" << config.router.scheduler.batch_max
+      << " (threads=" << sim::ThreadPool::resolve(config.scheduler.threads)
+      << " max-queue=" << config.scheduler.max_queue
+      << " cache=" << config.scheduler.cache_capacity
+      << " batch=" << config.scheduler.batch_max
       << " queue=" << service::kQueueBackendName << ")\n";
   out.flush();
 
@@ -690,8 +676,7 @@ int cmd_loadgen(const Args& args, std::ostream& out) {
   args.require_known(with_spec(
       {"at", "self-host", "clients", "requests", "distinct", "kind", "hours",
        "points", "periodic", "param", "values", "deadline", "json", "threads",
-       "max-queue", "cache", "batch", "shards", "open-loop", "rate",
-       "shard-sweep"}));
+       "max-queue", "cache", "batch", "open-loop", "rate"}));
   service::LoadgenConfig config;
   config.self_host = !args.has("at") || args.get_switch("self-host");
   if (args.has("at")) {
@@ -699,7 +684,6 @@ int cmd_loadgen(const Args& args, std::ostream& out) {
     config.self_host = false;
   }
   config.scheduler = scheduler_config_from(args);
-  config.shards = shards_from(args);
   // --rate only makes sense for scheduled arrivals, so it implies the
   // open loop.
   config.open_loop = args.get_switch("open-loop") || args.has("rate");
@@ -719,21 +703,6 @@ int cmd_loadgen(const Args& args, std::ostream& out) {
   config.clients = static_cast<unsigned>(clients);
   config.requests_per_client = static_cast<std::size_t>(requests);
   config.distinct = static_cast<std::size_t>(distinct);
-  std::vector<unsigned> sweep_shards;
-  if (args.has("shard-sweep")) {
-    if (!config.self_host) {
-      throw ArgError("--shard-sweep needs a self-hosted server (drop --at)");
-    }
-    for (double value : args.get_double_list("shard-sweep")) {
-      if (value < 1.0 || value != std::floor(value)) {
-        throw ArgError("--shard-sweep wants integer shard counts >= 1");
-      }
-      sweep_shards.push_back(static_cast<unsigned>(value));
-    }
-    if (sweep_shards.empty()) {
-      throw ArgError("--shard-sweep wants at least one shard count");
-    }
-  }
   const std::string kind = args.get_string_or("kind", "sweep");
   if (kind != "ber" && kind != "mttf" && kind != "sweep") {
     throw ArgError("--kind must be one of ber|mttf|sweep for loadgen");
@@ -759,42 +728,17 @@ int cmd_loadgen(const Args& args, std::ostream& out) {
   const service::LoadgenReport& report = ran.value();
   out << service::format_loadgen_report(config, report);
 
-  std::vector<service::ShardScalingPoint> scaling;
-  if (!sweep_shards.empty()) {
-    core::Result<std::vector<service::ShardScalingPoint>> swept =
-        service::run_shard_scaling(config, sweep_shards);
-    if (!swept.ok()) throw core::StatusError(swept.status());
-    scaling = std::move(swept).value();
-    out << "\nshard scaling (open loop, "
-        << std::thread::hardware_concurrency() << " cores)\n"
-        << service::format_shard_scaling(scaling);
-  }
-
   if (args.has("json")) {
     const std::string path = args.get_string("json");
-    std::string payload = service::loadgen_report_json(config, report);
-    if (!scaling.empty()) {
-      // Splice the scaling section into the report object so one file
-      // carries the whole snapshot (BENCH_serve.json schema).
-      core::Result<service::Json> parsed = service::Json::parse(payload);
-      if (!parsed.ok()) throw core::StatusError(parsed.status());
-      service::JsonObject object = parsed.value().as_object();
-      object.emplace("shard_scaling", service::shard_scaling_json(scaling));
-      payload = service::Json(std::move(object)).serialize();
-    }
     std::ofstream file(path);
     if (!file) {
       throw core::StatusError(
           core::Status::internal("cannot write --json file " + path));
     }
-    file << payload << "\n";
+    file << service::loadgen_report_json(config, report) << "\n";
     out << "wrote " << path << "\n";
   }
-  std::size_t scaling_errors = 0;
-  for (const service::ShardScalingPoint& point : scaling) {
-    scaling_errors += point.report.errors;
-  }
-  return report.errors == 0 && scaling_errors == 0 ? 0 : 1;
+  return report.errors == 0 ? 0 : 1;
 }
 
 int cmd_chaos(const Args& args, std::ostream& out) {

@@ -50,7 +50,7 @@ enum class StatusCode : std::uint8_t {
   // Service scheduling: the request was admitted but its deadline expired
   // before a worker could start it. No computation was performed.
   kDeadlineExceeded,
-  // Service brown-out: the shard is under sustained overload and is
+  // Service brown-out: the scheduler is under sustained overload and is
   // shedding cache-MISS analysis work to protect cache hits and the
   // control plane. Like kOverloaded this is a typed up-front rejection,
   // but it carries a retry-after hint and signals degraded (not merely

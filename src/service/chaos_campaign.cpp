@@ -58,10 +58,9 @@ std::string scenario_socket(unsigned index) {
 ServerConfig base_server_config(unsigned index) {
   ServerConfig config;
   config.endpoint = Endpoint::unix_socket(scenario_socket(index));
-  config.router.shards = 2;
-  config.router.scheduler.threads = 2;
-  config.router.scheduler.max_queue = 64;
-  config.router.scheduler.cache_capacity = 128;
+  config.scheduler.threads = 2;
+  config.scheduler.max_queue = 128;
+  config.scheduler.cache_capacity = 256;
   return config;
 }
 
@@ -387,7 +386,7 @@ ChaosScenarioResult run_rate_limit_scenario(const ChaosCampaignConfig& config,
   return result;
 }
 
-// Sustained overload on a 1-worker shard => brown-out sheds cache-miss
+// Sustained overload on a 1-worker scheduler => brown-out sheds cache-miss
 // work with typed kBrownout while the control plane stays responsive.
 ChaosScenarioResult run_brownout_scenario(const ChaosCampaignConfig& config,
                                           unsigned index) {
@@ -395,10 +394,9 @@ ChaosScenarioResult run_brownout_scenario(const ChaosCampaignConfig& config,
   result.name = "overload-brownout";
   result.counts_deterministic = false;
   ServerConfig server_config = base_server_config(index);
-  server_config.router.shards = 1;
-  server_config.router.scheduler.threads = 1;
-  server_config.router.scheduler.max_queue = 16;  // brown-out enters at 12
-  server_config.router.scheduler.batch_max = 4;
+  server_config.scheduler.threads = 1;
+  server_config.scheduler.max_queue = 16;  // brown-out enters at 12
+  server_config.scheduler.batch_max = 4;
   core::Result<std::unique_ptr<Server>> started = Server::start(server_config);
   if (!started.ok()) {
     result.detail = "server failed to start: " + started.status().message();

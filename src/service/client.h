@@ -79,8 +79,8 @@ class Client {
   // Pipelined surface (one sender thread + one receiver thread):
   // send() writes the frame and returns the id it was assigned without
   // waiting for the response; receive() blocks for the next response
-  // frame regardless of id (the caller matches ids itself — a sharded
-  // server completes pipelined requests out of order).
+  // frame regardless of id (the caller matches ids itself — the server's
+  // N workers complete pipelined requests out of order).
   core::Result<std::uint64_t> send(Request request);
   core::Result<Response> receive();
 

@@ -63,8 +63,14 @@ Request variant_of(const Request& base, std::size_t i) {
     for (double& t : request.times_hours) t *= scale;
   }
   // kMttf has no horizon: every variant shares one key, which still
-  // exercises the hit path (distinct is effectively 1).
+  // exercises the hit path (see effective_distinct).
   return request;
+}
+
+// Distinct cache keys the mix really contains: variant_of cannot vary an
+// mttf request, so an mttf mix has exactly one key whatever was asked.
+std::size_t effective_distinct(const LoadgenConfig& config) {
+  return config.request.kind == RequestKind::kMttf ? 1 : config.distinct;
 }
 
 void run_closed_loop_client(Client& client, const LoadgenConfig& config,
@@ -92,8 +98,8 @@ void run_closed_loop_client(Client& client, const LoadgenConfig& config,
 
 // One open-loop connection: a sender thread fires requests at their
 // scheduled arrival times and never waits for responses; the receiver
-// (the calling thread) drains completions, which a sharded server may
-// deliver out of order. Send times are keyed by request id under a mutex
+// (the calling thread) drains completions, which the server's N workers
+// may deliver out of order. Send times are keyed by request id under a mutex
 // and recorded BEFORE the frame goes out, so a response can never race
 // its own bookkeeping. The sender finishes with a sentinel ping: once the
 // receiver has seen it, `sent_final` is the exact number of data
@@ -197,9 +203,6 @@ core::Result<LoadgenReport> run_loadgen(const LoadgenConfig& config) {
     return core::Status::invalid_config(
         "loadgen template must be an analysis request (ber|mttf|sweep)");
   }
-  if (config.shards == 0) {
-    return core::Status::invalid_config("loadgen needs shards >= 1");
-  }
   if (config.arrival_rate_rps < 0.0) {
     return core::Status::invalid_config("loadgen rate must be >= 0");
   }
@@ -209,8 +212,7 @@ core::Result<LoadgenReport> run_loadgen(const LoadgenConfig& config) {
   Endpoint endpoint = config.endpoint;
   if (config.self_host) {
     ServerConfig server_config;
-    server_config.router.shards = config.shards;
-    server_config.router.scheduler = config.scheduler;
+    server_config.scheduler = config.scheduler;
     server_config.endpoint = Endpoint::unix_socket(
         "/tmp/rsmem-loadgen-" + std::to_string(::getpid()) + ".sock");
     core::Result<std::unique_ptr<Server>> started =
@@ -340,11 +342,10 @@ std::string format_loadgen_report(const LoadgenConfig& config,
                                   const LoadgenReport& report) {
   analysis::Table table{{"metric", "value"}};
   table.add_row({"mode", config.open_loop ? "open-loop" : "closed-loop"});
-  table.add_row({"shards", std::to_string(config.shards)});
   table.add_row({"clients", std::to_string(config.clients)});
   table.add_row({"requests/client",
                  std::to_string(config.requests_per_client)});
-  table.add_row({"distinct keys", std::to_string(config.distinct)});
+  table.add_row({"distinct keys", std::to_string(effective_distinct(config))});
   table.add_row({"completed", std::to_string(report.requests)});
   table.add_row({"rejected (overload)", std::to_string(report.rejected)});
   table.add_row({"shed (brown-out)", std::to_string(report.shed)});
@@ -378,10 +379,10 @@ std::string loadgen_report_json(const LoadgenConfig& config,
   config_json.emplace("clients", static_cast<double>(config.clients));
   config_json.emplace("requests_per_client",
                       static_cast<double>(config.requests_per_client));
-  config_json.emplace("distinct", static_cast<double>(config.distinct));
+  config_json.emplace("distinct",
+                      static_cast<double>(effective_distinct(config)));
   config_json.emplace("kind", to_string(config.request.kind));
   config_json.emplace("self_host", config.self_host);
-  config_json.emplace("shards", static_cast<double>(config.shards));
   config_json.emplace("open_loop", config.open_loop);
   config_json.emplace("arrival_rate_rps", config.arrival_rate_rps);
   JsonObject latency;
@@ -414,84 +415,6 @@ std::string loadgen_report_json(const LoadgenConfig& config,
     if (server.ok()) object.emplace("server", std::move(server).value());
   }
   return Json(std::move(object)).serialize();
-}
-
-core::Result<std::vector<ShardScalingPoint>> run_shard_scaling(
-    const LoadgenConfig& base, const std::vector<unsigned>& shard_counts) {
-  if (shard_counts.empty()) {
-    return core::Status::invalid_config(
-        "shard scaling needs at least one shard count");
-  }
-  std::vector<ShardScalingPoint> points;
-  points.reserve(shard_counts.size());
-  for (unsigned shards : shard_counts) {
-    if (shards == 0) {
-      return core::Status::invalid_config("shard counts must be >= 1");
-    }
-    LoadgenConfig config = base;
-    config.self_host = true;  // each point needs its own server
-    config.open_loop = true;  // measure capacity, not client round-trips
-    config.shards = shards;
-    core::Result<LoadgenReport> report = run_loadgen(config);
-    if (!report.ok()) {
-      core::Status status = report.status();
-      return status.with_context("shard scaling at " +
-                                 std::to_string(shards) + " shards");
-    }
-    points.push_back(ShardScalingPoint{shards, std::move(report).value()});
-  }
-  return points;
-}
-
-std::string format_shard_scaling(
-    const std::vector<ShardScalingPoint>& points) {
-  analysis::Table table{{"shards", "throughput [req/s]", "p50 [ms]",
-                         "p99 [ms]", "rejected", "shed", "errors",
-                         "speedup"}};
-  const double base_rps =
-      points.empty() ? 0.0 : points.front().report.throughput_rps;
-  for (const ShardScalingPoint& point : points) {
-    const double speedup =
-        base_rps > 0.0 ? point.report.throughput_rps / base_rps : 0.0;
-    table.add_row({std::to_string(point.shards),
-                   analysis::format_fixed(point.report.throughput_rps, 1),
-                   analysis::format_fixed(point.report.p50_ms, 3),
-                   analysis::format_fixed(point.report.p99_ms, 3),
-                   std::to_string(point.report.rejected),
-                   std::to_string(point.report.shed),
-                   std::to_string(point.report.errors),
-                   analysis::format_fixed(speedup, 2)});
-  }
-  return table.to_text();
-}
-
-Json shard_scaling_json(const std::vector<ShardScalingPoint>& points) {
-  const double base_rps =
-      points.empty() ? 0.0 : points.front().report.throughput_rps;
-  JsonArray entries;
-  entries.reserve(points.size());
-  for (const ShardScalingPoint& point : points) {
-    JsonObject entry;
-    entry.emplace("shards", static_cast<double>(point.shards));
-    entry.emplace("requests", static_cast<double>(point.report.requests));
-    entry.emplace("rejected", static_cast<double>(point.report.rejected));
-    entry.emplace("shed", static_cast<double>(point.report.shed));
-    entry.emplace("errors", static_cast<double>(point.report.errors));
-    entry.emplace("offered_rps", point.report.offered_rps);
-    entry.emplace("throughput_rps", point.report.throughput_rps);
-    entry.emplace("p50_ms", point.report.p50_ms);
-    entry.emplace("p99_ms", point.report.p99_ms);
-    entry.emplace("speedup_vs_1_shard",
-                  base_rps > 0.0 ? point.report.throughput_rps / base_rps
-                                 : 0.0);
-    entries.push_back(Json(std::move(entry)));
-  }
-  JsonObject object;
-  object.emplace("cores", static_cast<double>(
-                              std::thread::hardware_concurrency()));
-  object.emplace("queue_backend", std::string(kQueueBackendName));
-  object.emplace("points", Json(std::move(entries)));
-  return Json(std::move(object));
 }
 
 }  // namespace rsmem::service

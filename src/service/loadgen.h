@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "service/client.h"
 #include "service/scheduler.h"
@@ -40,11 +39,11 @@ namespace rsmem::service {
 struct LoadgenConfig {
   bool self_host = true;           // spin an in-process server
   Endpoint endpoint;               // target when !self_host
-  SchedulerConfig scheduler;       // self-hosted per-shard scheduler knobs
-  unsigned shards = 1;             // self-hosted server shard count
+  SchedulerConfig scheduler;       // self-hosted server's scheduler knobs
   unsigned clients = 8;
   std::size_t requests_per_client = 40;
-  std::size_t distinct = 4;        // distinct cache keys in the mix
+  std::size_t distinct = 4;        // distinct cache keys in the mix (mttf
+                                   // has no horizon, so it always has 1)
   bool open_loop = false;          // pipelined scheduled arrivals
   double arrival_rate_rps = 0.0;   // open loop: aggregate rate; 0 = flat out
   Request request;                 // template analysis request
@@ -75,36 +74,14 @@ struct LoadgenReport {
 // Internal.
 core::Result<LoadgenReport> run_loadgen(const LoadgenConfig& config);
 
-// Human-readable summary table.
+// Human-readable summary table. Like the JSON snapshot it reports the
+// distinct cache keys the mix actually had (1 for mttf), not the request.
 std::string format_loadgen_report(const LoadgenConfig& config,
                                   const LoadgenReport& report);
 
 // JSON snapshot (BENCH_serve.json schema; see docs/SERVICE.md).
 std::string loadgen_report_json(const LoadgenConfig& config,
                                 const LoadgenReport& report);
-
-// ---------------------------------------------------------------------------
-// Shard-scaling sweep: the same open-loop workload replayed against
-// self-hosted servers at each shard count, so throughput can be compared
-// apples-to-apples (tools/run_bench.sh appends this to BENCH_serve.json).
-
-struct ShardScalingPoint {
-  unsigned shards = 0;
-  LoadgenReport report;
-};
-
-// Runs `base` once per shard count (self_host and open_loop are forced
-// on). Shard counts must be >= 1 and non-empty.
-core::Result<std::vector<ShardScalingPoint>> run_shard_scaling(
-    const LoadgenConfig& base, const std::vector<unsigned>& shard_counts);
-
-// Human-readable scaling table (speedups are relative to the first point).
-std::string format_shard_scaling(const std::vector<ShardScalingPoint>& points);
-
-// JSON object for the BENCH_serve.json "shard_scaling" key: the hardware
-// core count (scaling is core-bound), one entry per point, and each
-// point's throughput speedup relative to the first.
-Json shard_scaling_json(const std::vector<ShardScalingPoint>& points);
 
 }  // namespace rsmem::service
 

@@ -338,15 +338,6 @@ std::uint64_t cache_key_hash(std::string_view canonical_key) {
   return hash;
 }
 
-std::uint32_t shard_of_key(std::string_view canonical_key,
-                           std::uint32_t shard_count) {
-  if (shard_count <= 1 || canonical_key.empty()) return 0;
-  const std::uint64_t hash = cache_key_hash(canonical_key);
-  const std::uint32_t folded =
-      static_cast<std::uint32_t>(hash ^ (hash >> 32));
-  return folded % shard_count;
-}
-
 // ---------------------------------------------------------------------------
 // Frame transport.
 

@@ -38,7 +38,12 @@ enum class RequestKind : std::uint8_t {
   kBer,       // BER(t) curve over times_hours (analyze_ber / periodic)
   kMttf,      // mean time to data loss
   kSweep,     // BER at a horizon across one swept parameter
-  kStats,     // server counters (cache + scheduler); not cached
+  // Server counters; not cached. The result object carries the
+  // `scheduler` and `cache` counter objects, `queue_backend`
+  // ("lockfree" | "mutex") and the transport counters (connections_open,
+  // idle_reaped, rate_limited, oversized_frames, warm_start_*);
+  // docs/SERVICE.md lists every field.
+  kStats,
   kShutdown,  // orderly shutdown: drain queue, close connections
 };
 
@@ -96,24 +101,6 @@ std::string canonical_cache_key(const Request& request);
 // FNV-1a 64-bit of the canonical key; exposed for stats/diagnostics (the
 // cache itself is keyed by the full string, collisions are impossible).
 std::uint64_t cache_key_hash(std::string_view canonical_key);
-
-// THE shard routing rule (service/shard_router.h and the tests share this
-// one definition): xor-fold the 64-bit FNV-1a of the canonical key to 32
-// bits — so the high bytes of the hash still spread keys whose low bytes
-// collide — then reduce modulo shard_count. Deterministic: every request
-// with the same semantic content routes to the same shard, which is what
-// keeps per-shard caches as effective as one global cache for repeated
-// queries. Empty keys (control-plane kinds) and shard_count <= 1 route
-// to shard 0.
-//
-// Stats schema note: a sharded server's `stats` response keeps the
-// merged `scheduler`/`cache` objects (counter sums; max_batch is a max)
-// at the top level for backwards compatibility and adds `shard_count`,
-// `queue_backend` ("lockfree" | "mutex"), `rejected_global` (backstop
-// rejections that never reached a shard), and a `shards` array with one
-// {scheduler, cache} object per shard, in shard-index order.
-std::uint32_t shard_of_key(std::string_view canonical_key,
-                           std::uint32_t shard_count);
 
 // ---------------------------------------------------------------------------
 // Frame transport over a connected socket fd. Blocking; both retry EINTR

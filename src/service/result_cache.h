@@ -86,18 +86,6 @@ class ResultCache {
                          : static_cast<double>(hits + waits) /
                                static_cast<double>(served);
     }
-
-    // Counter-wise sum used by the shard router's stats merge.
-    Stats& merge(const Stats& other) {
-      hits += other.hits;
-      misses += other.misses;
-      waits += other.waits;
-      evictions += other.evictions;
-      failures += other.failures;
-      warm_loads += other.warm_loads;
-      size += other.size;
-      return *this;
-    }
   };
   Stats stats() const;
   void clear();

@@ -117,25 +117,6 @@ std::string batch_compatibility_key(const Request& request) {
   return key;
 }
 
-AnalysisScheduler::Stats& AnalysisScheduler::Stats::merge(const Stats& other) {
-  accepted += other.accepted;
-  rejected_overload += other.rejected_overload;
-  deadline_expired += other.deadline_expired;
-  completed += other.completed;
-  batches += other.batches;
-  batch_groups += other.batch_groups;
-  max_batch = std::max(max_batch, other.max_batch);
-  queue_depth += other.queue_depth;
-  in_flight += other.in_flight;
-  brownout_active = brownout_active || other.brownout_active;
-  brownout_entries += other.brownout_entries;
-  brownout_shed += other.brownout_shed;
-  brownout_hits += other.brownout_hits;
-  stuck = stuck || other.stuck;
-  stalled_ms = std::max(stalled_ms, other.stalled_ms);
-  return *this;
-}
-
 namespace {
 
 std::int64_t steady_now_ns() {
@@ -222,7 +203,7 @@ core::Status AnalysisScheduler::submit(Request request,
       stats_.brownout_shed.fetch_add(1, std::memory_order_relaxed);
       leave_submit();
       return core::Status::brownout(
-          "shard in brown-out (" + std::to_string(depth) +
+          "scheduler in brown-out (" + std::to_string(depth) +
           " in flight): shedding cache-miss work, hits still served; "
           "retry after " + format_double(config_.brownout_retry_after_ms) +
           " ms");

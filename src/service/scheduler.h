@@ -1,8 +1,7 @@
 // Request scheduler of rsmem-serve: admission control, deadline policing,
 // compatibility batching, and execution on the shared analysis engines.
-// One AnalysisScheduler is one SHARD of the service (service/shard_router.h
-// routes requests to shards by canonical-cache-key hash); a single-shard
-// deployment is simply a router with one scheduler.
+// The Server (service/server.h) owns exactly one AnalysisScheduler and
+// submits every analysis request to it.
 //
 // Life of a request:
 //   1. submit() — ADMISSION: the pending queue is a bounded lock-free MPMC
@@ -23,7 +22,7 @@
 //   3. DEADLINE: policed twice. A request whose deadline_ms elapsed by the
 //      time the dispatcher drains it is answered kDeadlineExceeded without
 //      ever occupying a worker; and because a group can sit behind earlier
-//      groups on a busy pool, the deadline is RE-CHECKED when the shard
+//      groups on a busy pool, the deadline is RE-CHECKED when a pool
 //      worker dequeues the request for execution — a request queued past
 //      its deadline gets the typed rejection, not a late success.
 //   4. Execution routes through the core try_* facade (global ChainCache +
@@ -57,7 +56,7 @@ struct SchedulerConfig {
 
   // Brown-out: graceful degradation under SUSTAINED overload, watermarked
   // on in-flight depth (accepted - completed: ring + pool queue +
-  // executing). Crossing brownout_enter puts the shard in brown-out:
+  // executing). Crossing brownout_enter puts the scheduler in brown-out:
   // cache-MISS analysis work is shed with a typed kBrownout rejection
   // (carrying a retry-after hint), while cache HITS are answered inline
   // from submit() and the control plane stays untouched. The mode is
@@ -69,9 +68,9 @@ struct SchedulerConfig {
   std::size_t brownout_exit = 0;
   double brownout_retry_after_ms = 50.0;
 
-  // Watchdog: a shard with in-flight work but no completion progress for
-  // longer than this is reported stuck in stats (a starved/wedged shard
-  // must be VISIBLE, not silent). <= 0 disables.
+  // Watchdog: a scheduler with in-flight work but no completion progress
+  // for longer than this is reported stuck in stats (a starved/wedged
+  // scheduler must be VISIBLE, not silent). <= 0 disables.
   double watchdog_stall_ms = 2000.0;
 };
 
@@ -90,7 +89,7 @@ class AnalysisScheduler {
   core::Status submit(Request request, std::function<void(Response)> done);
 
   // Executes one request synchronously on the caller's thread through the
-  // same cache + engines (used by tests and the router's sync path).
+  // same cache + engines (used by tests).
   Response execute(const Request& request);
 
   struct Stats {
@@ -112,16 +111,11 @@ class AnalysisScheduler {
     // in flight (0 when idle); stuck = stalled past watchdog_stall_ms.
     bool stuck = false;
     double stalled_ms = 0.0;
-
-    // Counter-wise sum used by the shard router's stats merge
-    // (max_batch/stalled_ms merge as a max, the bools as OR,
-    // queue_depth/in_flight as sums).
-    Stats& merge(const Stats& other);
   };
   Stats stats() const;
   ResultCache::Stats cache_stats() const { return cache_.stats(); }
 
-  // Warm-start surfaces (the router's snapshot save/load goes through
+  // Warm-start surfaces (the server's snapshot save/load goes through
   // these; see result_cache.h).
   std::vector<SnapshotEntry> export_cache_entries() const {
     return cache_.export_entries();
@@ -183,7 +177,7 @@ class AnalysisScheduler {
   AtomicStats stats_;
   std::atomic<bool> brownout_{false};
   // Watchdog heartbeat: steady-clock ns of the last completion (or of
-  // construction). A shard whose in-flight count stays > 0 while this
+  // construction). A scheduler whose in-flight count stays > 0 while this
   // timestamp ages past watchdog_stall_ms is reported stuck.
   std::atomic<std::int64_t> last_progress_ns_{0};
   std::thread dispatcher_;

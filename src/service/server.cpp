@@ -61,18 +61,22 @@ Server::Server(ServerConfig config, Endpoint bound, int listen_fd)
     : config_(std::move(config)),
       endpoint_(std::move(bound)),
       listen_fd_(listen_fd),
-      router_(std::make_unique<ShardRouter>(config_.router)) {
+      scheduler_(config_.scheduler) {
   if (!config_.snapshot_path.empty()) {
     // Warm start. EVERY failure mode — missing file, torn write, CRC or
     // version mismatch — degrades to a cold start; the outcome is
     // surfaced in `stats`, never fatal.
-    core::Result<std::size_t> loaded =
-        router_->load_snapshot(config_.snapshot_path);
-    if (loaded.ok()) {
-      warm_start_entries_ = loaded.value();
-    } else if (loaded.status().message().find("no snapshot") ==
+    core::Result<std::vector<SnapshotEntry>> entries =
+        read_snapshot_file(config_.snapshot_path);
+    if (entries.ok()) {
+      for (SnapshotEntry& entry : entries.value()) {
+        scheduler_.warm_cache_entry(entry.key, std::move(entry.value));
+      }
+      warm_start_entries_ = entries.value().size();
+    } else if (entries.status().message().find("no snapshot") ==
                std::string::npos) {
-      warm_start_error_ = loaded.status().message();
+      core::Status status = entries.status();
+      warm_start_error_ = status.with_context("cache snapshot load").message();
     }
   }
   if (config_.idle_timeout_ms > 0) {
@@ -280,14 +284,14 @@ void Server::handle_request(const std::shared_ptr<Connection>& connection,
     case RequestKind::kSweep:
       break;
   }
-  core::Status admitted = router_->submit(
+  core::Status admitted = scheduler_.submit(
       std::move(request), [connection](Response completed) {
         // Write failures mean the client went away; the result stays in
         // the cache for the next asker, nothing else to do.
         (void)connection->write_response(completed);
       });
   if (!admitted.is_ok()) {
-    response.status = admitted;  // typed kOverloaded rejection
+    response.status = admitted;  // typed kOverloaded/kBrownout rejection
     (void)connection->write_response(response);
   }
 }
@@ -332,27 +336,10 @@ JsonObject cache_stats_json(const ResultCache::Stats& cache) {
 }  // namespace
 
 std::string Server::stats_result_json() const {
-  const ShardRouter::Stats stats = router_->stats();
-  // Top-level `scheduler`/`cache` stay the merged totals (pre-sharding
-  // schema); the `shards` array carries the per-shard breakdown.
   JsonObject object;
-  object.emplace("scheduler", scheduler_stats_json(stats.scheduler));
-  object.emplace("cache", cache_stats_json(stats.cache));
-  object.emplace("shard_count",
-                 static_cast<std::uint64_t>(router_->shard_count()));
+  object.emplace("scheduler", scheduler_stats_json(scheduler_.stats()));
+  object.emplace("cache", cache_stats_json(scheduler_.cache_stats()));
   object.emplace("queue_backend", std::string(kQueueBackendName));
-  object.emplace("rejected_global", stats.rejected_global);
-  object.emplace("global_pending",
-                 static_cast<std::uint64_t>(stats.global_pending));
-  JsonArray shards;
-  shards.reserve(stats.shard_scheduler.size());
-  for (std::size_t i = 0; i < stats.shard_scheduler.size(); ++i) {
-    JsonObject shard;
-    shard.emplace("scheduler", scheduler_stats_json(stats.shard_scheduler[i]));
-    shard.emplace("cache", cache_stats_json(stats.shard_cache[i]));
-    shards.push_back(Json(std::move(shard)));
-  }
-  object.emplace("shards", Json(std::move(shards)));
   // Transport-hardening telemetry.
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -420,14 +407,15 @@ void Server::shutdown() {
   }
 
   // 3. Drain: every admitted request completes and flushes its response.
-  router_->stop();
+  scheduler_.stop();
 
-  // 3b. Persist the drained caches. Post-drain means the snapshot holds
+  // 3b. Persist the drained cache. Post-drain means the snapshot holds
   //     every completed result; write failures leave any previous
   //     snapshot intact (tmp + atomic rename) and the next boot simply
   //     cold-starts.
   if (!config_.snapshot_path.empty()) {
-    (void)router_->save_snapshot(config_.snapshot_path);
+    (void)write_snapshot_file(config_.snapshot_path,
+                              scheduler_.export_cache_entries());
   }
 
   // 4. Release the sockets (fds close when the last shared_ptr drops) and

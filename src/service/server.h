@@ -1,22 +1,21 @@
 // rsmem-serve: the long-running analysis daemon.
 //
 // One listening socket (Unix or TCP), one reader thread per connection,
-// and the ShardRouter behind them (N independent scheduler/cache shards,
-// service/shard_router.h). The server splits the protocol into two planes:
+// and one AnalysisScheduler behind them (service/scheduler.h: bounded
+// pending ring, dispatcher, worker pool, single-flight ResultCache). The
+// server splits the protocol into two planes:
 //   * CONTROL (ping / stats / shutdown): answered inline by the reader
 //     thread — never queued, never subject to admission control, so a
-//     saturated service still answers health checks. `stats` merges
-//     per-shard counters and reports the per-shard breakdown too.
-//   * ANALYSIS (ber / mttf / sweep): routed by canonical-cache-key hash to
-//     one shard and submitted. A typed kOverloaded rejection (shard queue
-//     full, or the router's global backstop) is written back immediately;
-//     accepted requests are answered asynchronously by the shard's workers
-//     (responses carry the request id, so one connection may pipeline
-//     requests and receive completions out of order).
+//     saturated service still answers health checks.
+//   * ANALYSIS (ber / mttf / sweep): submitted to the scheduler. A typed
+//     kOverloaded or kBrownout rejection is written back immediately;
+//     accepted requests are answered asynchronously by the scheduler's
+//     workers (responses carry the request id, so one connection may
+//     pipeline requests and receive completions out of order).
 // Shutdown (kShutdown request, or Server::shutdown()) drains: the
 // listener closes, connection read sides shut down, every admitted
 // request still completes and its response is flushed, then the sockets
-// close. When a snapshot path is configured the drained caches are
+// close. When a snapshot path is configured the drained cache is
 // persisted after the drain and reloaded (warm start) on the next boot;
 // a torn/corrupt snapshot falls back to a cold start, never a crash.
 // See docs/SERVICE.md.
@@ -36,13 +35,13 @@
 
 #include "service/chaos.h"
 #include "service/endpoint.h"
-#include "service/shard_router.h"
+#include "service/scheduler.h"
 
 namespace rsmem::service {
 
 struct ServerConfig {
   Endpoint endpoint = Endpoint::unix_socket("/tmp/rsmem-serve.sock");
-  ShardRouterConfig router;  // shard count + per-shard scheduler knobs
+  SchedulerConfig scheduler;
   int backlog = 64;
 
   // Frames whose announced length exceeds this are rejected with a typed
@@ -64,7 +63,7 @@ struct ServerConfig {
 
   // Cache persistence: when non-empty, boot warm-loads this snapshot
   // (missing/corrupt file => cold start) and shutdown() writes the
-  // drained caches back to it (tmp + fsync + atomic rename).
+  // drained cache back to it (tmp + fsync + atomic rename).
   std::string snapshot_path;
 
   // Transport fault injection (tests / chaos campaigns). Null = clean
@@ -95,13 +94,10 @@ class Server {
   // run by the destructor.
   void shutdown();
 
-  // Merged (summed) across shards; ShardRouter::stats() has the breakdown.
   AnalysisScheduler::Stats scheduler_stats() const {
-    return router_->scheduler_stats();
+    return scheduler_.stats();
   }
-  ResultCache::Stats cache_stats() const { return router_->cache_stats(); }
-  ShardRouter::Stats router_stats() const { return router_->stats(); }
-  unsigned shard_count() const { return router_->shard_count(); }
+  ResultCache::Stats cache_stats() const { return scheduler_.cache_stats(); }
 
  private:
   struct Connection {
@@ -134,7 +130,7 @@ class Server {
   const ServerConfig config_;
   const Endpoint endpoint_;
   int listen_fd_;
-  std::unique_ptr<ShardRouter> router_;
+  AnalysisScheduler scheduler_;
 
   // Hardening telemetry (stats response).
   std::atomic<std::uint64_t> rate_limited_{0};

@@ -324,11 +324,6 @@ TEST(Cli, ServeRejectsConflictingAndMalformedEndpoints) {
   EXPECT_EQ(run({"serve", "--threads", "-1"}, &out, &err), 2);
   // Typos are caught by require_known.
   EXPECT_EQ(run({"serve", "--sockett", "/tmp/x.sock"}, &out, &err), 2);
-  // A server with zero shards cannot route anything.
-  err.clear();
-  EXPECT_EQ(run({"serve", "--shards", "0"}, &out, &err), 2);
-  EXPECT_NE(err.find("InvalidConfig"), std::string::npos);
-  EXPECT_NE(err.find("shards"), std::string::npos);
 }
 
 TEST(Cli, QueryRejectsBadFlagsWithoutConnecting) {
@@ -362,25 +357,17 @@ TEST(Cli, LoadgenValidatesShape) {
   EXPECT_EQ(run({"loadgen", "--kind", "ping"}, &out, &err), 2);
   EXPECT_EQ(run({"loadgen", "--at", "bad-endpoint"}, &out, &err), 2);
   EXPECT_EQ(run({"loadgen", "--deadline", "-1"}, &out, &err), 2);
-  // Sharding and open-loop knobs are validated before any server starts.
-  EXPECT_EQ(run({"loadgen", "--shards", "0"}, &out, &err), 2);
+  // Open-loop knobs are validated before any server starts.
   EXPECT_EQ(run({"loadgen", "--rate", "-1"}, &out, &err), 2);
-  // --shard-sweep needs a self-hosted server (no --at) and sane counts.
-  EXPECT_EQ(run({"loadgen", "--at", "unix:/tmp/x.sock", "--shard-sweep",
-                 "1,2"},
-                &out, &err),
-            2);
-  EXPECT_EQ(run({"loadgen", "--shard-sweep", "0,2"}, &out, &err), 2);
-  EXPECT_EQ(run({"loadgen", "--shard-sweep", "1.5"}, &out, &err), 2);
 }
 
 TEST(Cli, LoadgenOpenLoopSelfHostedSmokeRun) {
-  // Open-loop mode across 2 shards over the real wire protocol; a small
-  // uncapped burst that must complete with zero errors and zero rejections.
+  // Open-loop mode over the real wire protocol; a small uncapped burst
+  // that must complete with zero errors and zero rejections.
   std::string out, err;
   EXPECT_EQ(run({"loadgen", "--clients", "2", "--requests", "4", "--distinct",
-                 "2", "--threads", "2", "--hours", "24", "--shards", "2",
-                 "--open-loop", "--max-queue", "256"},
+                 "2", "--threads", "2", "--hours", "24", "--open-loop",
+                 "--max-queue", "256"},
                 &out, &err),
             0)
       << err;

@@ -1,7 +1,6 @@
 // ResultCache unit tests: LRU behaviour and single-flight deduplication —
-// including the per-shard regime, where each shard owns an independent
-// cache and single-flight must dedupe within a shard without any
-// cross-shard coupling.
+// including gated probes where one cache's open flight must neither
+// block another cache instance nor leak a failed result.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -131,36 +130,36 @@ TEST(ResultCache, SingleFlightDeduplicatesConcurrentIdenticalRequests) {
   EXPECT_EQ(stats.waits + stats.hits, static_cast<std::uint64_t>(kThreads - 1));
 }
 
-// Per-shard single-flight probe with a GATED (not merely slow) compute:
-// the leader on shard 0 blocks until the test releases it, which removes
-// all timing slack from the assertions. While shard 0's flight is pinned
-// open, (a) concurrent identical requests on shard 0 pile onto the one
-// leader — exactly one computation runs; (b) a different shard's cache
-// computes the same key independently and immediately — shards share
-// nothing, so one shard's in-flight work never blocks another's.
-TEST(ResultCache, PerShardSingleFlightBlockingComputeProbe) {
-  ResultCache shard0(8);
-  ResultCache shard1(8);
+// Single-flight probe with a GATED (not merely slow) compute: the leader
+// on cache A blocks until the test releases it, which removes all timing
+// slack from the assertions. While A's flight is pinned open, (a)
+// concurrent identical requests on A pile onto the one leader — exactly
+// one computation runs; (b) a second cache instance B computes the same
+// key independently and immediately — caches share no state, so one
+// cache's in-flight work never blocks another's.
+TEST(ResultCache, SingleFlightBlockingComputeProbe) {
+  ResultCache cache_a(8);
+  ResultCache cache_b(8);
 
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
   bool leader_entered = false;
   bool release_leader = false;
-  std::atomic<int> shard0_computes{0};
+  std::atomic<int> a_computes{0};
 
   constexpr int kWaiters = 4;
   std::vector<ResultCache::Outcome> outcomes(kWaiters + 1);
   std::vector<std::thread> threads;
-  // Leader + waiters, all asking shard 0 for the same key.
+  // Leader + waiters, all asking cache A for the same key.
   for (int i = 0; i <= kWaiters; ++i) {
     threads.emplace_back([&, i] {
-      outcomes[i] = shard0.get_or_compute("shared-key", [&] {
-        shard0_computes.fetch_add(1);
+      outcomes[i] = cache_a.get_or_compute("shared-key", [&] {
+        a_computes.fetch_add(1);
         std::unique_lock<std::mutex> lock(gate_mutex);
         leader_entered = true;
         gate_cv.notify_all();
         gate_cv.wait(lock, [&] { return release_leader; });
-        return core::Result<std::string>(std::string("from-shard-0"));
+        return core::Result<std::string>(std::string("from-cache-a"));
       });
     });
   }
@@ -170,17 +169,17 @@ TEST(ResultCache, PerShardSingleFlightBlockingComputeProbe) {
     ASSERT_TRUE(gate_cv.wait_for(lock, std::chrono::seconds(10),
                                  [&] { return leader_entered; }));
   }
-  // Shard 1 serves the same canonical key on its own cache NOW, while
-  // shard 0's flight is still pinned open: independent caches, no
-  // cross-shard blocking, its own miss.
-  const ResultCache::Outcome other_shard =
-      shard1.get_or_compute("shared-key", [] {
-        return core::Result<std::string>(std::string("from-shard-1"));
+  // Cache B serves the same canonical key NOW, while A's flight is still
+  // pinned open: independent caches, no cross-cache blocking, its own
+  // miss.
+  const ResultCache::Outcome other_cache =
+      cache_b.get_or_compute("shared-key", [] {
+        return core::Result<std::string>(std::string("from-cache-b"));
       });
-  ASSERT_TRUE(other_shard.status.is_ok());
-  EXPECT_EQ(other_shard.source, CacheSource::kMiss);
-  EXPECT_EQ(*other_shard.value, "from-shard-1");
-  EXPECT_EQ(shard1.stats().misses, 1u);
+  ASSERT_TRUE(other_cache.status.is_ok());
+  EXPECT_EQ(other_cache.source, CacheSource::kMiss);
+  EXPECT_EQ(*other_cache.value, "from-cache-b");
+  EXPECT_EQ(cache_b.stats().misses, 1u);
 
   {
     std::unique_lock<std::mutex> lock(gate_mutex);
@@ -189,24 +188,24 @@ TEST(ResultCache, PerShardSingleFlightBlockingComputeProbe) {
   }
   for (auto& thread : threads) thread.join();
 
-  EXPECT_EQ(shard0_computes.load(), 1);  // one leader, ever
+  EXPECT_EQ(a_computes.load(), 1);  // one leader, ever
   int misses = 0;
   for (const auto& outcome : outcomes) {
     ASSERT_TRUE(outcome.status.is_ok());
-    EXPECT_EQ(*outcome.value, "from-shard-0");
+    EXPECT_EQ(*outcome.value, "from-cache-a");
     misses += outcome.source == CacheSource::kMiss;
   }
   EXPECT_EQ(misses, 1);
-  const ResultCache::Stats stats = shard0.stats();
+  const ResultCache::Stats stats = cache_a.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits + stats.waits, static_cast<std::uint64_t>(kWaiters));
 }
 
 // A leader that FAILS while concurrent waiters are parked: every waiter
-// sees the leader's typed status, nothing is cached on any shard, and the
-// next request starts a fresh flight.
-TEST(ResultCache, PerShardFailedFlightIsNeverCached) {
-  ResultCache shard(8);
+// sees the leader's typed status, nothing is cached, and the next request
+// starts a fresh flight.
+TEST(ResultCache, FailedFlightIsNeverCached) {
+  ResultCache cache(8);
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
   bool leader_entered = false;
@@ -219,7 +218,7 @@ TEST(ResultCache, PerShardFailedFlightIsNeverCached) {
   for (int i = 0; i <= kWaiters; ++i) {
     threads.emplace_back([&, i] {
       start.arrive_and_wait();  // everyone races into the same flight
-      outcomes[i] = shard.get_or_compute("doomed", [&] {
+      outcomes[i] = cache.get_or_compute("doomed", [&] {
         std::unique_lock<std::mutex> lock(gate_mutex);
         leader_entered = true;
         gate_cv.notify_all();
@@ -248,40 +247,13 @@ TEST(ResultCache, PerShardFailedFlightIsNeverCached) {
     EXPECT_EQ(outcome.status.code(), core::StatusCode::kSolverDivergence);
     EXPECT_EQ(outcome.value, nullptr);
   }
-  EXPECT_EQ(shard.stats().size, 0u);  // the failure was never cached
-  EXPECT_EQ(shard.stats().failures, 1u);
+  EXPECT_EQ(cache.stats().size, 0u);  // the failure was never cached
+  EXPECT_EQ(cache.stats().failures, 1u);
   // The next ask is a fresh flight and may succeed.
-  const ResultCache::Outcome retried = shard.get_or_compute(
+  const ResultCache::Outcome retried = cache.get_or_compute(
       "doomed", [] { return core::Result<std::string>(std::string("ok")); });
   ASSERT_TRUE(retried.status.is_ok());
   EXPECT_EQ(retried.source, CacheSource::kMiss);
-}
-
-TEST(ResultCacheStats, MergeSumsCountersAcrossShards) {
-  ResultCache::Stats a;
-  a.hits = 10;
-  a.misses = 4;
-  a.waits = 2;
-  a.evictions = 1;
-  a.failures = 1;
-  a.size = 3;
-  ResultCache::Stats b;
-  b.hits = 5;
-  b.misses = 6;
-  b.waits = 0;
-  b.evictions = 0;
-  b.failures = 2;
-  b.size = 4;
-  ResultCache::Stats merged;
-  merged.merge(a).merge(b);
-  EXPECT_EQ(merged.hits, 15u);
-  EXPECT_EQ(merged.misses, 10u);
-  EXPECT_EQ(merged.waits, 2u);
-  EXPECT_EQ(merged.evictions, 1u);
-  EXPECT_EQ(merged.failures, 3u);
-  EXPECT_EQ(merged.size, 7u);
-  // hit_rate over the merged counters, exactly as the stats plane reports.
-  EXPECT_DOUBLE_EQ(merged.hit_rate(), 17.0 / 27.0);
 }
 
 TEST(ResultCache, ConcurrentDistinctKeysAllCompute) {

@@ -1,16 +1,14 @@
 // End-to-end rsmem-serve tests: a real Server on a Unix socket, real
 // Clients, concurrent traffic. Pins the headline guarantees:
 //   * responses are BIT-IDENTICAL to direct core:: calls for the paper
-//     presets (RS(18,16) duplex, RS(36,16) simplex) — at EVERY shard
-//     count: the sharded-vs-unsharded differential proves --shards 1 and
-//     --shards 4 answer byte-for-byte identically;
+//     presets (RS(18,16) duplex, RS(36,16) simplex), for every analysis
+//     kind, on the first (miss) and the repeated (hit) answer;
 //   * concurrent identical requests single-flight (compute once);
-//   * admission control rejects with typed kOverloaded, never drops —
-//     per shard AND at the router's global backstop;
+//   * admission control rejects with typed kOverloaded, never drops, and
+//     brown-out sheds with typed kBrownout;
 //   * expired deadlines answer kDeadlineExceeded, both when the
 //     dispatcher drains them late and when they expire while queued
-//     behind a slow group on a shard worker;
-//   * merged `stats` counters are exactly the sum of the per-shard ones;
+//     behind a slow group on a pool worker;
 //   * shutdown drains every admitted request.
 // The whole file runs under TSan via tools/run_sanitizers.sh (label
 // `service`) against both the lock-free and mutex MPMC queue builds.
@@ -25,7 +23,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -34,7 +31,6 @@
 #include "service/loadgen.h"
 #include "service/scheduler.h"
 #include "service/server.h"
-#include "service/shard_router.h"
 
 namespace rsmem::service {
 namespace {
@@ -172,7 +168,7 @@ TEST(ServiceE2E, SweepAndMttfBitIdenticalToDirectCalls) {
 TEST(ServiceE2E, ConcurrentIdenticalSweepsComputeOnce) {
   ServerConfig config;
   config.endpoint = test_endpoint("flight");
-  config.router.scheduler.threads = 4;
+  config.scheduler.threads = 4;
   auto started = Server::start(config);
   ASSERT_TRUE(started.ok()) << started.status().to_string();
   auto& server = started.value();
@@ -244,7 +240,7 @@ TEST(ServiceE2E, SurvivesClientGoneBeforeResponse) {
   // the daemon (which lives in this test process).
   ServerConfig config;
   config.endpoint = test_endpoint("gone");
-  config.router.scheduler.threads = 1;
+  config.scheduler.threads = 1;
   auto started = Server::start(config);
   ASSERT_TRUE(started.ok()) << started.status().to_string();
   auto& server = started.value();
@@ -360,85 +356,20 @@ TEST(ServiceE2E, ControlPlaneAndErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharding: routing, bit-identity across shard counts, stats merge, and
-// the router's global admission backstop.
+// The mixed-workload differential: every analysis kind over both paper
+// presets, answered byte-identically on the miss and on the hit, and
+// equal to direct core:: calls. (The test name predates the single
+// scheduler behind the server.)
 
-TEST(ShardRouting, ShardOfKeyIsDeterministicAndCoversAllShards) {
-  // Control-plane kinds have empty keys and pin to shard 0, as does a
-  // single-shard deployment.
-  EXPECT_EQ(shard_of_key("", 4), 0u);
-  EXPECT_EQ(shard_of_key("any key at all", 1), 0u);
-  EXPECT_EQ(shard_of_key("any key at all", 0), 0u);
-
-  std::set<std::uint32_t> seen;
-  for (int i = 0; i < 256; ++i) {
-    const std::string key = "ber|duplex|18,16|t=" + std::to_string(i);
-    const std::uint32_t shard = shard_of_key(key, 4);
-    ASSERT_LT(shard, 4u);
-    EXPECT_EQ(shard, shard_of_key(key, 4));  // deterministic
-    // The routing rule is pinned: xor-fold of the 64-bit FNV-1a, mod N.
-    const std::uint64_t hash = cache_key_hash(key);
-    EXPECT_EQ(shard,
-              static_cast<std::uint32_t>(hash ^ (hash >> 32)) % 4u);
-    seen.insert(shard);
-  }
-  // FNV-1a spreads these near-identical keys across every shard.
-  EXPECT_EQ(seen.size(), 4u);
-}
-
-TEST(ShardRouting, RouterSendsEqualKeysToTheSameShard) {
-  ShardRouterConfig config;
-  config.shards = 4;
-  config.scheduler.threads = 1;
-  ShardRouter router(config);
-  ASSERT_EQ(router.shard_count(), 4u);
-
-  Request request;
-  request.kind = RequestKind::kBer;
-  request.spec = paper_duplex_spec();
-  request.times_hours = {0.0, 24.0, 48.0};
-  const std::size_t home = router.shard_of(request);
-  Request identical = request;
-  identical.id = 999;          // ids are not semantic content
-  identical.deadline_ms = 50;  // neither are deadlines
-  EXPECT_EQ(router.shard_of(identical), home);
-  EXPECT_EQ(home, shard_of_key(canonical_cache_key(request), 4));
-
-  // Execute twice through the router: the second is a HIT — the per-shard
-  // cache works because equal keys always land on the same shard.
-  const Response first = router.execute(request);
-  ASSERT_TRUE(first.status.is_ok()) << first.status.to_string();
-  EXPECT_EQ(first.cache, CacheSource::kMiss);
-  const Response second = router.execute(identical);
-  ASSERT_TRUE(second.status.is_ok());
-  EXPECT_EQ(second.cache, CacheSource::kHit);
-  EXPECT_EQ(second.result_json, first.result_json);
-  router.stop();
-}
-
-// The tentpole differential: one identical request mix against a
-// 1-shard and a 4-shard server must produce byte-identical responses
-// (and match direct core:: calls), and the 4-shard server's merged stats
-// must be exactly the sum of its per-shard counters.
 TEST(ShardRouting, ShardedAndUnshardedServersAnswerByteIdentically) {
-  ServerConfig config_1;
-  config_1.endpoint = test_endpoint("shards1");
-  config_1.router.shards = 1;
-  config_1.router.scheduler.threads = 2;
-  ServerConfig config_4;
-  config_4.endpoint = test_endpoint("shards4");
-  config_4.router.shards = 4;
-  config_4.router.scheduler.threads = 2;
-  auto started_1 = Server::start(config_1);
-  auto started_4 = Server::start(config_4);
-  ASSERT_TRUE(started_1.ok()) << started_1.status().to_string();
-  ASSERT_TRUE(started_4.ok()) << started_4.status().to_string();
-  auto& server_1 = started_1.value();
-  auto& server_4 = started_4.value();
-  auto client_1 = Client::connect(server_1->endpoint());
-  auto client_4 = Client::connect(server_4->endpoint());
-  ASSERT_TRUE(client_1.ok());
-  ASSERT_TRUE(client_4.ok());
+  ServerConfig config;
+  config.endpoint = test_endpoint("mix");
+  config.scheduler.threads = 2;
+  auto started = Server::start(config);
+  ASSERT_TRUE(started.ok()) << started.status().to_string();
+  auto& server = started.value();
+  auto client = Client::connect(server->endpoint());
+  ASSERT_TRUE(client.ok());
 
   // The request mix: both paper presets, all three analysis kinds.
   std::vector<Request> mix;
@@ -470,138 +401,80 @@ TEST(ShardRouting, ShardedAndUnshardedServersAnswerByteIdentically) {
     mix.push_back(mttf_simplex);
   }
 
-  // Two passes: pass 0 computes (misses), pass 1 is served per-shard-hot.
-  // Byte identity must hold between servers on every pass.
+  // Two passes: pass 0 computes (misses), pass 1 is served from the
+  // cache. Both passes must carry the same bytes.
+  std::vector<std::string> first_pass;
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < mix.size(); ++i) {
-      auto from_1 = client_1.value().call(mix[i]);
-      auto from_4 = client_4.value().call(mix[i]);
-      ASSERT_TRUE(from_1.ok()) << from_1.status().to_string();
-      ASSERT_TRUE(from_4.ok()) << from_4.status().to_string();
-      ASSERT_TRUE(from_1.value().status.is_ok())
-          << from_1.value().status.to_string();
-      ASSERT_TRUE(from_4.value().status.is_ok())
-          << from_4.value().status.to_string();
-      EXPECT_EQ(from_1.value().result_json, from_4.value().result_json)
-          << "request " << i << " pass " << pass
-          << " differs between 1 and 4 shards";
-      if (pass == 1) {
-        EXPECT_EQ(from_4.value().cache, CacheSource::kHit)
-            << "request " << i << ": per-shard cache missed on replay";
+      auto response = client.value().call(mix[i]);
+      ASSERT_TRUE(response.ok()) << response.status().to_string();
+      ASSERT_TRUE(response.value().status.is_ok())
+          << response.value().status.to_string();
+      if (pass == 0) {
+        EXPECT_EQ(response.value().cache, CacheSource::kMiss) << i;
+        first_pass.push_back(response.value().result_json);
+      } else {
+        EXPECT_EQ(response.value().cache, CacheSource::kHit)
+            << "request " << i << ": cache missed on replay";
+        EXPECT_EQ(response.value().result_json, first_pass[i])
+            << "request " << i << ": hit differs from the miss";
       }
     }
   }
-  // And against direct core:: calls (the wire adds nothing, removes
-  // nothing, at any shard count).
-  {
-    auto response = client_4.value().call(mix[0]);
-    ASSERT_TRUE(response.ok());
-    const models::BerCurve direct =
-        rsmem::analyze_ber(mix[0].spec, mix[0].times_hours);
-    expect_bit_identical(result_doubles(response.value(), "fail_probability"),
-                         direct.fail_probability, "sharded P_fail");
-    expect_bit_identical(result_doubles(response.value(), "ber"), direct.ber,
-                         "sharded BER");
+
+  // Every answer against its direct core:: call: the wire adds nothing
+  // and removes nothing.
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    const Request& request = mix[i];
+    Response served;
+    served.result_json = first_pass[i];
+    if (request.kind == RequestKind::kMttf) {
+      const auto parsed = Json::parse(served.result_json);
+      ASSERT_TRUE(parsed.ok());
+      EXPECT_EQ(parsed.value().number_or("mttf_hours", -1.0),
+                rsmem::mttf_hours(request.spec))
+          << "request " << i;
+      continue;
+    }
+    models::BerCurve direct;
+    if (request.kind == RequestKind::kSweep) {
+      // The mix sweeps tsc: one single-time analyze_ber per value.
+      for (const double value : request.sweep_values) {
+        core::MemorySystemSpec spec = request.spec;
+        spec.scrub_period_seconds = value;
+        const double times[] = {request.sweep_hours};
+        const models::BerCurve point = rsmem::analyze_ber(spec, times);
+        direct.fail_probability.push_back(point.fail_probability.front());
+        direct.ber.push_back(point.ber.front());
+      }
+    } else if (request.periodic) {
+      direct = rsmem::analyze_ber_periodic_scrub(request.spec,
+                                                 request.times_hours);
+    } else {
+      direct = rsmem::analyze_ber(request.spec, request.times_hours);
+    }
+    expect_bit_identical(result_doubles(served, "fail_probability"),
+                         direct.fail_probability, "mix P_fail");
+    expect_bit_identical(result_doubles(served, "ber"), direct.ber,
+                         "mix BER");
   }
 
-  // Stats merge semantics: the top-level merged counters are exactly the
-  // sums of the per-shard entries, and the work actually spread out.
+  // Every distinct key computed exactly once.
   Request stats;
   stats.kind = RequestKind::kStats;
-  auto stats_response = client_4.value().call(stats);
+  auto stats_response = client.value().call(stats);
   ASSERT_TRUE(stats_response.ok());
   ASSERT_TRUE(stats_response.value().status.is_ok());
   const auto parsed = Json::parse(stats_response.value().result_json);
   ASSERT_TRUE(parsed.ok());
   const Json& json = parsed.value();
-  EXPECT_EQ(json.number_or("shard_count", 0.0), 4.0);
   EXPECT_EQ(json.string_or("queue_backend", ""), kQueueBackendName);
-  EXPECT_EQ(json.number_or("rejected_global", -1.0), 0.0);
-  const Json* shards = json.find("shards");
-  ASSERT_NE(shards, nullptr);
-  ASSERT_TRUE(shards->is_array());
-  ASSERT_EQ(shards->as_array().size(), 4u);
-  double accepted_sum = 0.0, completed_sum = 0.0;
-  double hits_sum = 0.0, misses_sum = 0.0, size_sum = 0.0;
-  std::size_t shards_with_work = 0;
-  for (const Json& shard : shards->as_array()) {
-    const Json* scheduler = shard.find("scheduler");
-    const Json* cache = shard.find("cache");
-    ASSERT_NE(scheduler, nullptr);
-    ASSERT_NE(cache, nullptr);
-    accepted_sum += scheduler->number_or("accepted", 0.0);
-    completed_sum += scheduler->number_or("completed", 0.0);
-    hits_sum += cache->number_or("hits", 0.0);
-    misses_sum += cache->number_or("misses", 0.0);
-    size_sum += cache->number_or("size", 0.0);
-    if (scheduler->number_or("accepted", 0.0) > 0.0) ++shards_with_work;
-  }
-  const Json* merged_scheduler = json.find("scheduler");
-  const Json* merged_cache = json.find("cache");
-  ASSERT_NE(merged_scheduler, nullptr);
-  ASSERT_NE(merged_cache, nullptr);
-  EXPECT_EQ(merged_scheduler->number_or("accepted", -1.0), accepted_sum);
-  EXPECT_EQ(merged_scheduler->number_or("completed", -1.0), completed_sum);
-  EXPECT_EQ(merged_cache->number_or("hits", -1.0), hits_sum);
-  EXPECT_EQ(merged_cache->number_or("misses", -1.0), misses_sum);
-  EXPECT_EQ(merged_cache->number_or("size", -1.0), size_sum);
-  // 6 distinct keys hashed over 4 shards: more than one shard saw work.
-  EXPECT_GT(shards_with_work, 1u);
-  // Every distinct key computed exactly once across the whole fleet.
-  EXPECT_EQ(misses_sum, static_cast<double>(mix.size()));
+  const Json* cache = json.find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->number_or("misses", -1.0),
+            static_cast<double>(mix.size()));
 
-  server_1->shutdown();
-  server_4->shutdown();
-}
-
-TEST(ShardRouterAdmission, GlobalBackstopRejectsTypedOverload) {
-  ShardRouterConfig config;
-  config.shards = 2;
-  config.scheduler.threads = 1;
-  config.scheduler.max_queue = 64;  // roomy per-shard queues...
-  config.global_max_pending = 2;    // ...but a tight global backstop
-  ShardRouter router(config);
-  EXPECT_EQ(router.global_max_pending(), 2u);
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::size_t completed = 0;
-  const auto on_done = [&](Response) {
-    std::lock_guard<std::mutex> lock(mutex);
-    ++completed;
-    cv.notify_all();
-  };
-
-  std::size_t accepted = 0, rejected = 0;
-  for (int i = 0; i < 64; ++i) {
-    Request request;
-    request.kind = RequestKind::kBer;
-    request.spec = paper_duplex_spec();
-    request.times_hours = {24.0 + i};  // distinct keys: real work each
-    const core::Status status = router.submit(request, on_done);
-    if (status.is_ok()) {
-      ++accepted;
-    } else {
-      ASSERT_EQ(status.code(), core::StatusCode::kOverloaded)
-          << status.to_string();
-      ++rejected;
-    }
-  }
-  // The per-shard queues never filled, so every rejection came from the
-  // global backstop and was typed kOverloaded.
-  EXPECT_GT(rejected, 0u);
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
-                            [&] { return completed == accepted; }));
-  }
-  const ShardRouter::Stats stats = router.stats();
-  EXPECT_EQ(stats.rejected_global, rejected);
-  EXPECT_EQ(stats.scheduler.accepted, accepted);
-  EXPECT_EQ(stats.scheduler.completed, accepted);
-  EXPECT_EQ(stats.scheduler.rejected_overload, 0u);  // shards never refused
-  EXPECT_EQ(stats.global_pending, 0u);  // every reservation was released
-  router.stop();
+  server->shutdown();
 }
 
 // Scheduler-level behaviours that need precise control (no sockets).
@@ -858,7 +731,6 @@ TEST(ServiceLoadgen, OpenLoopShardedRunAccountsForEveryRequest) {
   LoadgenConfig config;
   config.self_host = true;
   config.open_loop = true;
-  config.shards = 2;
   config.clients = 4;
   config.requests_per_client = 10;
   config.distinct = 2;
@@ -885,15 +757,13 @@ TEST(ServiceLoadgen, OpenLoopShardedRunAccountsForEveryRequest) {
   EXPECT_FALSE(report.server_stats_json.empty());
 }
 
-TEST(ServiceLoadgen, OpenLoopOverloadCountsRejectionsNotErrors) {
-  // Deliberate overload: 1 worker, a queue of 1, a global backstop of 2,
-  // and a flood of distinct keys pipelined flat-out. The relief valves are
-  // typed: kOverloaded files under `rejected`, brown-out sheds under
-  // `shed`; `errors` stays zero and every request is accounted for.
+// Deliberate overload: 1 worker, a queue of 1 and a flood of distinct
+// keys pipelined flat-out. Every sent request lands in exactly one of
+// requests / rejected / shed, and `errors` stays zero.
+LoadgenConfig overload_config() {
   LoadgenConfig config;
   config.self_host = true;
   config.open_loop = true;
-  config.shards = 2;
   config.clients = 4;
   config.requests_per_client = 16;
   config.distinct = 64;  // (clients + i) spread: nearly all keys distinct
@@ -902,53 +772,72 @@ TEST(ServiceLoadgen, OpenLoopOverloadCountsRejectionsNotErrors) {
   config.request.kind = RequestKind::kBer;
   config.request.spec = paper_duplex_spec();
   config.request.times_hours = {24.0, 48.0};
+  return config;
+}
+
+TEST(ServiceLoadgen, OpenLoopOverloadCountsRejectionsNotErrors) {
+  // Brown-out off: the full queue is the only relief valve, and its typed
+  // kOverloaded rejections file under `rejected`.
+  LoadgenConfig config = overload_config();
+  config.scheduler.brownout_enabled = false;
   auto ran = run_loadgen(config);
   ASSERT_TRUE(ran.ok()) << ran.status().to_string();
   const LoadgenReport& report = ran.value();
   EXPECT_EQ(report.errors, 0u);
   EXPECT_GT(report.rejected, 0u);
+  EXPECT_EQ(report.shed, 0u);
   EXPECT_EQ(report.requests + report.rejected + report.shed,
             static_cast<std::size_t>(config.clients) *
                 config.requests_per_client);
 }
 
-TEST(ServiceLoadgen, ShardScalingSweepReportsEveryPoint) {
-  LoadgenConfig base;
-  base.clients = 2;
-  base.requests_per_client = 6;
-  base.distinct = 2;
-  base.scheduler.threads = 1;
-  base.scheduler.max_queue = 128;
-  base.request.kind = RequestKind::kSweep;
-  base.request.spec = paper_duplex_spec();
-  base.request.sweep_param = "tsc";
-  base.request.sweep_values = {600.0, 3600.0};
-  base.request.sweep_hours = 48.0;
-  auto swept = run_shard_scaling(base, {1u, 2u});
-  ASSERT_TRUE(swept.ok()) << swept.status().to_string();
-  const auto& points = swept.value();
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_EQ(points[0].shards, 1u);
-  EXPECT_EQ(points[1].shards, 2u);
-  for (const ShardScalingPoint& point : points) {
-    EXPECT_EQ(point.report.errors, 0u) << point.shards << " shards";
-    EXPECT_GT(point.report.throughput_rps, 0.0);
-  }
-  // The JSON section carries one entry per point plus the core count.
-  const Json json = shard_scaling_json(points);
-  EXPECT_GT(json.number_or("cores", 0.0), 0.0);
-  EXPECT_EQ(json.string_or("queue_backend", ""), kQueueBackendName);
-  const Json* entries = json.find("points");
-  ASSERT_NE(entries, nullptr);
-  ASSERT_TRUE(entries->is_array());
-  ASSERT_EQ(entries->as_array().size(), 2u);
-  EXPECT_EQ(entries->as_array()[0].number_or("speedup_vs_1_shard", 0.0), 1.0);
-  EXPECT_FALSE(format_shard_scaling(points).empty());
+TEST(ServiceLoadgen, OpenLoopOverloadCountsShedsNotErrors) {
+  // Brown-out on (the default): it engages before the queue bound, and
+  // its typed kBrownout sheds file under `shed`.
+  const LoadgenConfig config = overload_config();
+  auto ran = run_loadgen(config);
+  ASSERT_TRUE(ran.ok()) << ran.status().to_string();
+  const LoadgenReport& report = ran.value();
+  EXPECT_EQ(report.errors, 0u);
+  EXPECT_GT(report.shed, 0u);
+  EXPECT_EQ(report.requests + report.rejected + report.shed,
+            static_cast<std::size_t>(config.clients) *
+                config.requests_per_client);
+}
 
-  EXPECT_EQ(run_shard_scaling(base, {}).status().code(),
-            core::StatusCode::kInvalidConfig);
-  EXPECT_EQ(run_shard_scaling(base, {0u}).status().code(),
-            core::StatusCode::kInvalidConfig);
+TEST(ServiceLoadgen, MttfMixReportsOneDistinctKey) {
+  // variant_of cannot vary an mttf request, so however many distinct keys
+  // were asked for, the report states the one the mix really had.
+  LoadgenConfig config;
+  config.self_host = true;
+  config.clients = 2;
+  config.requests_per_client = 4;
+  config.distinct = 4;
+  config.scheduler.threads = 1;
+  config.request.kind = RequestKind::kMttf;
+  config.request.spec = paper_duplex_spec();
+  auto ran = run_loadgen(config);
+  ASSERT_TRUE(ran.ok()) << ran.status().to_string();
+  const LoadgenReport& report = ran.value();
+  EXPECT_EQ(report.errors, 0u);
+  EXPECT_EQ(report.misses, 1u);  // one key, computed once
+  const auto snapshot = Json::parse(loadgen_report_json(config, report));
+  ASSERT_TRUE(snapshot.ok());
+  const Json* echoed = snapshot.value().find("config");
+  ASSERT_NE(echoed, nullptr);
+  EXPECT_EQ(echoed->number_or("distinct", 0.0), 1.0);
+  const std::string table = format_loadgen_report(config, report);
+  const std::size_t row = table.find("| distinct keys");
+  ASSERT_NE(row, std::string::npos) << table;
+  const std::string line = table.substr(row, table.find('\n', row) - row);
+  EXPECT_NE(line.find("| 1 "), std::string::npos) << line;
+
+  // The other kinds vary the horizon, so they keep the requested count.
+  config.request.kind = RequestKind::kBer;
+  config.request.times_hours = {24.0};
+  const auto ber = Json::parse(loadgen_report_json(config, report));
+  ASSERT_TRUE(ber.ok());
+  EXPECT_EQ(ber.value().find("config")->number_or("distinct", 0.0), 4.0);
 }
 
 TEST(ServiceLoadgen, RejectsNonsenseConfigs) {
@@ -965,10 +854,6 @@ TEST(ServiceLoadgen, RejectsNonsenseConfigs) {
   config.request.spec = paper_duplex_spec();
   config.request.sweep_param = "tsc";
   config.request.sweep_values = {600.0};
-  config.shards = 0;
-  EXPECT_EQ(run_loadgen(config).status().code(),
-            core::StatusCode::kInvalidConfig);
-  config.shards = 1;
   config.arrival_rate_rps = -1.0;
   EXPECT_EQ(run_loadgen(config).status().code(),
             core::StatusCode::kInvalidConfig);

@@ -186,7 +186,6 @@ TEST(ChaosTransport, AcceptFailuresAreRetriedToSuccess) {
   auto engine = std::make_shared<chaos::ChaosEngine>(faulty);
   ServerConfig config;
   config.endpoint = chaos_test_endpoint("accept");
-  config.router.shards = 1;
   config.chaos = engine;
   auto started = Server::start(config);
   ASSERT_TRUE(started.ok()) << started.status().to_string();
@@ -291,7 +290,7 @@ TEST(SchedulerBrownout, ShedsMissesTypedAndServesHitsInline) {
   }
   EXPECT_GE(shed, 1u) << "flood never engaged the brown-out";
 
-  // While the shard is still browned out, the warmed key must be answered
+  // While the scheduler is still browned out, the warmed key must be answered
   // INLINE from submit() — degradation sheds work, not answers.
   std::atomic<bool> hit_answered{false};
   Response hit_response;
@@ -342,7 +341,7 @@ TEST(SchedulerWatchdog, SurfacesStallWhileInFlightAndClearsWhenIdle) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   EXPECT_TRUE(observed_stuck)
-      << "watchdog never reported the busy shard as stalled";
+      << "watchdog never reported the busy scheduler as stalled";
   scheduler.stop();
   const AnalysisScheduler::Stats idle = scheduler.stats();
   EXPECT_FALSE(idle.stuck);  // stall is a live condition, not a latch
@@ -355,7 +354,6 @@ TEST(SchedulerWatchdog, SurfacesStallWhileInFlightAndClearsWhenIdle) {
 TEST(ServerHardening, FrameRateLimitIsTypedAndKeepsTheConnection) {
   ServerConfig config;
   config.endpoint = chaos_test_endpoint("rate");
-  config.router.shards = 1;
   config.max_frames_per_second = 2.0;  // burst of 2, then ~0 refill
   auto started = Server::start(config);
   ASSERT_TRUE(started.ok()) << started.status().to_string();
@@ -393,7 +391,6 @@ TEST(ServerHardening, FrameRateLimitIsTypedAndKeepsTheConnection) {
 TEST(ServerHardening, OversizedFrameTypedRejectThenClose) {
   ServerConfig config;
   config.endpoint = chaos_test_endpoint("maxframe");
-  config.router.shards = 1;
   config.max_frame_bytes = 256;
   auto started = Server::start(config);
   ASSERT_TRUE(started.ok()) << started.status().to_string();
@@ -426,7 +423,6 @@ TEST(ServerHardening, OversizedFrameTypedRejectThenClose) {
 TEST(ServerHardening, IdleReaperFreesQuietConnections) {
   ServerConfig config;
   config.endpoint = chaos_test_endpoint("reaper");
-  config.router.shards = 1;
   config.idle_timeout_ms = 50.0;
   auto started = Server::start(config);
   ASSERT_TRUE(started.ok()) << started.status().to_string();
@@ -470,7 +466,6 @@ TEST_F(WarmStartTest, RestartServesIdenticalBytesAsCacheHits) {
   std::remove(snapshot_path_.c_str());
   ServerConfig config;
   config.endpoint = chaos_test_endpoint("warm-a");
-  config.router.shards = 2;
   config.snapshot_path = snapshot_path_;
 
   std::vector<std::string> expected;
@@ -488,10 +483,8 @@ TEST_F(WarmStartTest, RestartServesIdenticalBytesAsCacheHits) {
     started.value()->shutdown();  // drain + snapshot
   }
 
-  // Restart — different socket and DIFFERENT shard count: snapshot
-  // entries re-route to whichever shard owns them now.
+  // Restart on a different socket: the snapshot warms the new cache.
   config.endpoint = chaos_test_endpoint("warm-b");
-  config.router.shards = 1;
   auto restarted = Server::start(config);
   ASSERT_TRUE(restarted.ok()) << restarted.status().to_string();
   EXPECT_GE(restarted.value()->cache_stats().warm_loads, 3u);
@@ -522,7 +515,6 @@ TEST_F(WarmStartTest, CorruptSnapshotColdStartsAndSurfacesTheError) {
   }
   ServerConfig config;
   config.endpoint = chaos_test_endpoint("cold");
-  config.router.shards = 1;
   config.snapshot_path = snapshot_path_;
   auto started = Server::start(config);  // must not crash or refuse
   ASSERT_TRUE(started.ok()) << started.status().to_string();

@@ -106,12 +106,8 @@ fi
 # rsmem-serve snapshot: self-hosted loadgen over the real wire protocol --
 # 8 concurrent clients replaying the paper's duplex scrubbing sweep (4
 # distinct cache keys), recording latency percentiles, cache hit rate, and
-# the hot-query speedup. --shard-sweep appends an open-loop shard-scaling
-# section (1/2/4 shards, same mix) to the JSON snapshot; the speedup column
-# is only meaningful on hosts with >= 4 cores, so it is recorded, not
-# asserted. See docs/SERVICE.md.
+# the hot-query speedup. See docs/SERVICE.md.
 "$BUILD/tools/rsmem_cli" loadgen --clients 8 --requests 40 --distinct 4 \
-    --shard-sweep 1,2,4 \
     --json "$ROOT/BENCH_serve.json"
 
 ctest --test-dir "$BUILD" -R 'shape\.bench_fig' --output-on-failure \

@@ -106,16 +106,16 @@ run_tsan() {
         --threads 4 > /dev/null
 
     echo "== ThreadSanitizer: rsmem-serve suites (lock-free queue) =="
-    # The service e2e suite: real sockets, concurrent clients, sharded
-    # dispatch through the lock-free MPMC ring, scheduler drain/overload
+    # The service e2e suite: real sockets, concurrent clients, dispatch
+    # through the lock-free MPMC ring, scheduler drain/overload
     # paths -- exactly the code where a data race would hide.
     TSAN_OPTIONS="halt_on_error=1" \
         ctest --test-dir "$ROOT/build-tsan" -L service --output-on-failure
-    # Service smoke: self-hosted sharded server + concurrent open-loop
+    # Service smoke: self-hosted server + concurrent open-loop
     # clients + clean shutdown, end to end over the wire under TSan.
     TSAN_OPTIONS="halt_on_error=1" \
         "$ROOT/build-tsan/tools/rsmem_cli" loadgen --clients 4 \
-        --requests 10 --distinct 2 --threads 2 --shards 2 --open-loop \
+        --requests 10 --distinct 2 --threads 2 --open-loop \
         > /dev/null
     # Chaos battery under TSan: hedged attempts race two lanes on separate
     # threads, the idle reaper and watchdog poke connections from the
@@ -139,7 +139,7 @@ run_tsan() {
         --output-on-failure
     TSAN_OPTIONS="halt_on_error=1" \
         "$ROOT/build-tsan-mutexq/tools/rsmem_cli" loadgen --clients 4 \
-        --requests 10 --distinct 2 --threads 2 --shards 2 --open-loop \
+        --requests 10 --distinct 2 --threads 2 --open-loop \
         > /dev/null
     TSAN_OPTIONS="halt_on_error=1" \
         ctest --test-dir "$ROOT/build-tsan-mutexq" -L chaos \
