@@ -1,8 +1,10 @@
 // SIMD GF(2^m) constant-by-vector kernels (m <= 8) with runtime dispatch.
 //
-// The RS codec's hot loops (systematic LFSR encoding, syndrome computation,
-// Chien search, and the batch encode/decode planes) reduce to two byte-wise
-// primitives over field elements packed one-per-byte:
+// The RS codec's vector-length loops — the per-word Chien row and the
+// batch encode/decode planes — reduce to three byte-wise primitives over
+// field elements packed one-per-byte (the per-word syndrome and LFSR rows
+// are shorter than one vector, so the codec XORs those inline from its own
+// pre-expanded tables and makes no kernel call there):
 //
 //   mul_const_acc:  dst[i] ^= c * src[i]      (constant c, vector src)
 //   xor_acc:        dst[i] ^= src[i]

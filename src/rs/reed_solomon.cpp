@@ -1,10 +1,12 @@
 #include "rs/reed_solomon.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace rsmem::rs {
 
@@ -13,13 +15,20 @@ using gf::Poly;
 
 namespace {
 
-// SIMD kernel-path engagement thresholds. Below these sizes the kernel
-// call overhead beats the vector win and the scalar loops stay in charge;
-// either route is bit-identical, so the constants are pure tuning.
-constexpr unsigned kMinKernelTwoT = 16;   // per-word syndrome/LFSR rows
-constexpr unsigned kMinKernelN = 32;      // per-word Chien row
-constexpr std::size_t kMinSoaBatch = 4;   // batch SoA staging
-// Stack staging for per-word kernel paths: n <= 255 and 2t < n for every
+// Engagement thresholds for the table-driven per-word routes and the batch
+// planes. Either route is bit-identical, so the constants are pure tuning.
+//  * kMinKernelTwoT gates the per-word syndrome and LFSR passes over the
+//    pre-expanded split-nibble rows (synd_nib/lfsr_nib). Those passes call
+//    no kernel: they XOR whole rows 8 bytes at a time inline
+//    (nibble_syndromes/nibble_lfsr below). Below 2t = 16 the dense-table
+//    Horner/LFSR loops stay in charge.
+//  * kMinKernelN gates the per-word Chien row, which does call the kernel
+//    layer: one mul_const_acc over n positions per locator coefficient.
+//  * kMinSoaBatch gates the batch SoA staging.
+constexpr unsigned kMinKernelTwoT = 16;
+constexpr unsigned kMinKernelN = 32;
+constexpr std::size_t kMinSoaBatch = 4;
+// Stack staging for per-word table paths: n <= 255 and 2t < n for every
 // m <= 8 code, so one page-free 256-byte buffer covers both.
 constexpr std::size_t kMaxSymbols = 256;
 
@@ -40,6 +49,89 @@ inline std::uint64_t load64(const std::uint8_t* p) {
 
 inline void store64(std::uint8_t* p, std::uint64_t v) {
   std::memcpy(p, &v, sizeof(v));
+}
+
+// Per-word accumulation over pre-expanded split-nibble rows. Row v of a
+// block holds v * c_j over j and row 16 + v holds (v << 4) * c_j, each
+// zero-padded to `stride` bytes (a multiple of 64), so for a symbol w the
+// product vector w * c_j is row(w & 0xF) ^ row(16 + (w >> 4)). Rows 0 and
+// 16 are all zero, so zero symbols need no branch. The rows are XORed as
+// ceil(2t/8) 64-bit words; with_words() fixes that count at compile time
+// for 2t <= 32 (every tier-1 code) so the accumulator stays in registers.
+// Only the XOR association differs from the scalar loops, which is exact
+// in GF(2^m).
+constexpr std::size_t kMaxWords = kMaxSymbols / 8;
+
+// Calls fn(std::integral_constant<unsigned, W>, words) with W = words for
+// words <= 4 and W = 0 (count taken at run time) beyond.
+template <typename Fn>
+inline void with_words(unsigned two_t, Fn&& fn) {
+  const unsigned words = (two_t + 7) / 8;
+  switch (words) {
+    case 1: return fn(std::integral_constant<unsigned, 1>{}, words);
+    case 2: return fn(std::integral_constant<unsigned, 2>{}, words);
+    case 3: return fn(std::integral_constant<unsigned, 3>{}, words);
+    case 4: return fn(std::integral_constant<unsigned, 4>{}, words);
+    default: return fn(std::integral_constant<unsigned, 0>{}, words);
+  }
+}
+
+// out[j] = sum_p word[p] * c_{p,j}, with `nib` holding 32 rows per
+// position p. `out` receives 8 * words bytes.
+template <unsigned kWords>
+void nibble_syndromes(const std::uint8_t* nib, std::size_t stride,
+                      const Element* word, unsigned n, unsigned words,
+                      std::uint8_t* out) {
+  const unsigned nw = kWords != 0 ? kWords : words;
+  std::uint64_t acc[kWords != 0 ? kWords : kMaxWords] = {};
+  for (unsigned p = 0; p < n; ++p) {
+    const Element w = word[p];
+    const std::uint8_t* rows = nib + static_cast<std::size_t>(p) * 32 * stride;
+    const std::uint8_t* lo = rows + (w & 0xF) * stride;
+    const std::uint8_t* hi = rows + (16 + (w >> 4)) * stride;
+    for (unsigned i = 0; i < nw; ++i) {
+      acc[i] ^= load64(lo + 8 * i) ^ load64(hi + 8 * i);
+    }
+  }
+  for (unsigned i = 0; i < nw; ++i) store64(out + 8 * i, acc[i]);
+}
+
+// Systematic LFSR over the 32 generator rows `rows`: per data symbol,
+// fb = data[p] ^ par[0], shift par down one symbol, par ^= fb * g. The
+// byte shift runs across little-endian words; the zero padding past 2t
+// keeps the vacated top symbol zero. `out` receives 8 * words bytes.
+template <unsigned kWords>
+void nibble_lfsr(const std::uint8_t* rows, std::size_t stride,
+                 const Element* data, unsigned k, unsigned words,
+                 std::uint8_t* out) {
+  const unsigned nw = kWords != 0 ? kWords : words;
+  std::uint64_t par[kWords != 0 ? kWords : kMaxWords] = {};
+  for (unsigned p = 0; p < k; ++p) {
+    const Element fb = data[p] ^ static_cast<Element>(par[0] & 0xFF);
+    for (unsigned i = 0; i + 1 < nw; ++i) {
+      par[i] = (par[i] >> 8) | (par[i + 1] << 56);
+    }
+    par[nw - 1] >>= 8;
+    const std::uint8_t* lo = rows + (fb & 0xF) * stride;
+    const std::uint8_t* hi = rows + (16 + (fb >> 4)) * stride;
+    for (unsigned i = 0; i < nw; ++i) {
+      par[i] ^= load64(lo + 8 * i) ^ load64(hi + 8 * i);
+    }
+  }
+  for (unsigned i = 0; i < nw; ++i) store64(out + 8 * i, par[i]);
+}
+
+// Writes column j of a 32-row split-nibble block from c's tables: row v
+// gets c*v and row 16+v gets c*(v<<4). Nibble values outside small fields
+// (m < 4 lo, m < 8 hi) are zero in the tables and never appear in a
+// validated word.
+inline void expand_nibble_rows(const gf::simd::MulTables& t,
+                               std::size_t stride, unsigned j,
+                               std::uint8_t* rows) {
+  for (unsigned v = 0; v < 16; ++v) {
+    rows[v * stride + j] = t.lo[v];
+    rows[(16 + v) * stride + j] = t.hi[v];
+  }
 }
 
 // Degree of the polynomial stored in a[0..len), -1 for zero.
@@ -127,24 +219,31 @@ const ReedSolomon::SimdTables* ReedSolomon::simd_tables() const {
     st->synd_stride = gf::aligned_stride(two_t);
     st->chien_stride = gf::aligned_stride(n);
 
+    // One split-nibble table per field element; every other table below
+    // is a copy of one of these, and Chien reads them directly.
+    st->const_mul.resize(size);
+    for (Element c = 0; c < size; ++c) {
+      gf::simd::build_tables(st->const_mul[c], field_, c);
+    }
+
     // Batch-encode constants: P[p][j] is the parity-j symbol produced by
     // the unit dataword e_p, computed with an inline scalar LFSR so the
-    // build never re-enters the dispatched encoder.
+    // build never re-enters the dispatched encoder. e_p feeds fb = 1 at
+    // step p (leaving the register at g) and then k-1-p zero symbols, so
+    // P[k-1] = g and P[p-1] is one zero-fed LFSR step on P[p].
     st->encode_mul.resize(static_cast<std::size_t>(k) * two_t);
-    std::vector<Element> par(two_t);
-    for (unsigned p = 0; p < k; ++p) {
-      std::fill(par.begin(), par.end(), 0);
-      for (unsigned q = 0; q < k; ++q) {
-        const Element fb = (q == p ? 1u : 0u) ^ par[0];
+    std::vector<Element> par(gen_lfsr_);
+    for (unsigned p = k; p-- > 0;) {
+      if (p + 1 < k) {
+        const Element fb = par[0];
         for (unsigned j = 0; j + 1 < two_t; ++j) {
           par[j] = par[j + 1] ^ field_.mul(fb, gen_lfsr_[j]);
         }
         par[two_t - 1] = field_.mul(fb, gen_lfsr_[two_t - 1]);
       }
       for (unsigned j = 0; j < two_t; ++j) {
-        gf::simd::build_tables(
-            st->encode_mul[static_cast<std::size_t>(p) * two_t + j], field_,
-            par[j]);
+        st->encode_mul[static_cast<std::size_t>(p) * two_t + j] =
+            st->const_mul[par[j]];
       }
     }
 
@@ -156,36 +255,20 @@ const ReedSolomon::SimdTables* ReedSolomon::simd_tables() const {
     for (unsigned p = 0; p < n; ++p) {
       for (unsigned j = 0; j < two_t; ++j) {
         const Element c = field_.pow(pos_locator_[p], params_.fcr + j);
-        gf::simd::build_tables(
-            st->synd_mul[static_cast<std::size_t>(p) * two_t + j], field_, c);
-        std::uint8_t* rows =
+        st->synd_mul[static_cast<std::size_t>(p) * two_t + j] =
+            st->const_mul[c];
+        expand_nibble_rows(
+            st->const_mul[c], st->synd_stride, j,
             st->synd_nib.data() +
-            static_cast<std::size_t>(p) * 32 * st->synd_stride;
-        for (unsigned v = 0; v < 16; ++v) {
-          // Nibble values outside small fields (m < 4 lo, m < 8 hi) can
-          // never appear in a validated word; their rows stay zero.
-          rows[v * st->synd_stride + j] =
-              v < size ? static_cast<std::uint8_t>(field_.mul(v, c)) : 0;
-          const unsigned vh = v << 4;
-          rows[(16 + v) * st->synd_stride + j] =
-              vh < size ? static_cast<std::uint8_t>(field_.mul(vh, c)) : 0;
-        }
+                static_cast<std::size_t>(p) * 32 * st->synd_stride);
       }
     }
 
     // Per-word LFSR rows: v * g[j] for each feedback nibble.
     st->lfsr_nib.assign(32 * st->synd_stride, 0);
-    for (unsigned v = 0; v < 16; ++v) {
-      for (unsigned j = 0; j < two_t; ++j) {
-        st->lfsr_nib[v * st->synd_stride + j] =
-            v < size
-                ? static_cast<std::uint8_t>(field_.mul(v, gen_lfsr_[j]))
-                : 0;
-        const unsigned vh = v << 4;
-        st->lfsr_nib[(16 + v) * st->synd_stride + j] =
-            vh < size ? static_cast<std::uint8_t>(field_.mul(vh, gen_lfsr_[j]))
-                      : 0;
-      }
+    for (unsigned j = 0; j < two_t; ++j) {
+      expand_nibble_rows(st->const_mul[gen_lfsr_[j]], st->synd_stride, j,
+                         st->lfsr_nib.data());
     }
 
     // Chien power rows: X_p^(-i) across positions, one row per locator
@@ -203,6 +286,12 @@ const ReedSolomon::SimdTables* ReedSolomon::simd_tables() const {
     simd_ptr_.store(simd_.get(), std::memory_order_release);
   }
   return simd_ptr_.load(std::memory_order_relaxed);
+}
+
+std::span<const gf::simd::MulTables> ReedSolomon::constant_tables() const {
+  const SimdTables* st = simd_tables();
+  if (st == nullptr) return {};
+  return {st->const_mul.data(), st->const_mul.size()};
 }
 
 void DecoderWorkspace::reserve(const ReedSolomon& code) {
@@ -253,25 +342,18 @@ void ReedSolomon::encode(std::span<const Element> data,
   Element* parity = codeword.data() + params_.k;
   std::fill(parity, parity + two_t, 0);
   const Element* gr = gen_lfsr_.data();
-  if (const gf::simd::Kernels* kn = simd_kernels_for(params_.m);
-      kn != nullptr && two_t >= kMinKernelTwoT) {
-    // Kernel path: the LFSR step "shift parity, xor fb*g" becomes one
-    // memmove plus two split-nibble row xors (fb = lo ^ hi<<4, with
-    // v*g[j] rows precomputed per code). Bit-identical to the scalar
-    // LFSR below: same feedback chain, same field products.
+  if (std::endian::native == std::endian::little &&
+      simd_kernels_for(params_.m) != nullptr && two_t >= kMinKernelTwoT) {
+    // Split-nibble route: the LFSR step "shift parity, xor fb*g" runs on
+    // the parity register as 64-bit words, with v*g[j] rows precomputed
+    // per code (fb*g = row(lo) ^ row(16 + hi)). Bit-identical to the
+    // scalar LFSR below: same feedback chain, same field products.
     const SimdTables* st = simd_tables();
-    const std::size_t stride = st->synd_stride;
-    const std::uint8_t* rows = st->lfsr_nib.data();
     std::uint8_t par[kMaxSymbols];
-    std::memset(par, 0, two_t);
-    for (unsigned p = 0; p < params_.k; ++p) {
-      const Element fb = data[p] ^ par[0];
-      std::memmove(par, par + 1, two_t - 1);
-      par[two_t - 1] = 0;
-      if (fb == 0) continue;
-      kn->xor_acc(par, rows + (fb & 0xF) * stride, two_t);
-      kn->xor_acc(par, rows + (16 + (fb >> 4)) * stride, two_t);
-    }
+    with_words(two_t, [&](auto w, unsigned words) {
+      nibble_lfsr<decltype(w)::value>(st->lfsr_nib.data(), st->synd_stride,
+                                      data.data(), params_.k, words, par);
+    });
     for (unsigned j = 0; j < two_t; ++j) parity[j] = par[j];
     return;
   }
@@ -590,38 +672,36 @@ DecodeOutcome ReedSolomon::decode_fast(
     return {DecodeStatus::kFailure, 0, 0};
   }
 
-  // Syndromes. The kernel route computes synd[j] = sum_p word[p] *
-  // X_p^(fcr+j) from precomputed split-nibble rows (two xor_acc per
-  // non-zero symbol); X_p^(fcr+j) == roots[j]^(n-1-p), so it is the same
-  // exact value the position-major Horner chains produce — only the XOR
-  // association differs, which is lossless in GF(2^m).
+  // Syndromes. The split-nibble route computes synd[j] = sum_p word[p] *
+  // X_p^(fcr+j) from precomputed rows (nibble_syndromes); X_p^(fcr+j) ==
+  // roots[j]^(n-1-p), so it is the same exact value the position-major
+  // Horner chains produce — only the XOR association differs, which is
+  // lossless in GF(2^m). The final codeword check below reuses it.
   ws.synd.assign(two_t, 0);
   Element* synd = ws.synd.data();
   const Element* roots = syndrome_root_.data();
   const gf::simd::Kernels* kn = simd_kernels_for(params_.m);
   const SimdTables* st = kn != nullptr ? simd_tables() : nullptr;
-  if (kn != nullptr && two_t >= kMinKernelTwoT) {
-    alignas(gf::kHotPathAlignment) std::uint8_t synd8[kMaxSymbols] = {0};
-    const std::size_t stride = st->synd_stride;
-    for (unsigned p = 0; p < n; ++p) {
-      const Element w = word[p];
-      if (w == 0) continue;
-      const std::uint8_t* rows =
-          st->synd_nib.data() + static_cast<std::size_t>(p) * 32 * stride;
-      kn->xor_acc(synd8, rows + (w & 0xF) * stride, two_t);
-      if ((w >> 4) != 0) {
-        kn->xor_acc(synd8, rows + (16 + (w >> 4)) * stride, two_t);
-      }
+  const bool nibble_synd = kn != nullptr && two_t >= kMinKernelTwoT;
+  const auto compute_syndromes = [&](const Element* src) {
+    if (nibble_synd) {
+      std::uint8_t synd8[kMaxSymbols];
+      with_words(two_t, [&](auto w, unsigned words) {
+        nibble_syndromes<decltype(w)::value>(
+            st->synd_nib.data(), st->synd_stride, src, n, words, synd8);
+      });
+      for (unsigned j = 0; j < two_t; ++j) synd[j] = synd8[j];
+      return;
     }
-    for (unsigned j = 0; j < two_t; ++j) synd[j] = synd8[j];
-  } else {
+    std::fill(synd, synd + two_t, 0);
     for (unsigned p = 0; p < n; ++p) {
-      const Element w = word[p];
+      const Element w = src[p];
       for (unsigned j = 0; j < two_t; ++j) {
         synd[j] = op.mul(synd[j], roots[j]) ^ w;
       }
     }
-  }
+  };
+  compute_syndromes(word.data());
   bool clean = true;
   for (unsigned j = 0; j < two_t; ++j) clean = clean && synd[j] == 0;
   if (clean) {
@@ -764,9 +844,7 @@ DecodeOutcome ReedSolomon::decode_fast(
       if (psi[i] == 1) {
         kn->xor_acc(eval, row, n);
       } else {
-        gf::simd::MulTables tbl;
-        gf::simd::build_tables(tbl, field_, psi[i]);
-        kn->mul_const_acc(eval, row, tbl, n);
+        kn->mul_const_acc(eval, row, st->const_mul[psi[i]], n);
       }
     }
   }
@@ -812,31 +890,10 @@ DecodeOutcome ReedSolomon::decode_fast(
     return {DecodeStatus::kFailure, 0, 0};
   }
 
-  // Final verification: the corrected word must be a true codeword. Same
-  // kernel/scalar split as the opening syndrome pass, same exact values.
-  std::fill(synd, synd + two_t, 0);
-  if (kn != nullptr && two_t >= kMinKernelTwoT) {
-    alignas(gf::kHotPathAlignment) std::uint8_t synd8[kMaxSymbols] = {0};
-    const std::size_t stride = st->synd_stride;
-    for (unsigned p = 0; p < n; ++p) {
-      const Element w = corrected[p];
-      if (w == 0) continue;
-      const std::uint8_t* rows =
-          st->synd_nib.data() + static_cast<std::size_t>(p) * 32 * stride;
-      kn->xor_acc(synd8, rows + (w & 0xF) * stride, two_t);
-      if ((w >> 4) != 0) {
-        kn->xor_acc(synd8, rows + (16 + (w >> 4)) * stride, two_t);
-      }
-    }
-    for (unsigned j = 0; j < two_t; ++j) synd[j] = synd8[j];
-  } else {
-    for (unsigned p = 0; p < n; ++p) {
-      const Element w = corrected[p];
-      for (unsigned j = 0; j < two_t; ++j) {
-        synd[j] = op.mul(synd[j], roots[j]) ^ w;
-      }
-    }
-  }
+  // Final verification: the corrected word must be a true codeword — a full
+  // syndrome recomputation over the corrected image, same route as the
+  // opening pass.
+  compute_syndromes(corrected);
   for (unsigned j = 0; j < two_t; ++j) {
     if (synd[j] != 0) return {DecodeStatus::kFailure, 0, 0};
   }

@@ -19,8 +19,9 @@
 // the encoder is a table-driven systematic LFSR, clean words exit straight
 // from the syndrome pass, and for m <= 8 the inner loops read the field's
 // dense multiplication table (no log/exp indirection, no zero branches).
-// On top of that, for m <= 8 the three hot loops — LFSR encoding, syndrome
-// computation, and Chien search — and the batch plane APIs run on the
+// On top of that, for m <= 8 and a vector backend, the per-word LFSR and
+// syndrome passes XOR pre-expanded split-nibble rows inline, 8 bytes at a
+// time, and Chien search and the batch plane APIs run on the
 // runtime-dispatched SIMD kernel layer (gf/simd_mul.h: PSHUFB/AVX2
 // split-nibble or GFNI affine multiply). When the selected backend is
 // `scalar` (RSMEM_GF_BACKEND=scalar, a host without SSSE3, or a
@@ -207,6 +208,12 @@ class ReedSolomon {
 
   bool is_codeword(std::span<const Element> word) const;
 
+  // The code's constant-multiplication tables, one per field element and
+  // indexed by it (gf::simd::build_tables(c) for c in [0, 2^m)); empty for
+  // m > 8. Built once with the code's other SIMD tables, which this call
+  // (like DecoderWorkspace::reserve) forces.
+  std::span<const gf::simd::MulTables> constant_tables() const;
+
  private:
   // Syndromes S_j = c(alpha^(fcr+j)), j in [0, n-k). Returns true if all 0.
   bool syndromes(std::span<const Element> word,
@@ -222,24 +229,32 @@ class ReedSolomon {
                             std::span<const unsigned> erasure_positions,
                             const Element* dense) const;
 
-  // Per-code constant tables for the SIMD kernel layer (m <= 8), built
-  // lazily on first use (thread-safe, one build per code) and shared by
-  // every workspace. reserve() forces the build so steady-state calls
-  // never construct tables. All rows are 64-byte aligned.
+  // Per-code constant tables for the m <= 8 table routes, built lazily on
+  // first use (thread-safe, one build per code) and shared by every
+  // workspace. reserve() forces the build so steady-state encodes and
+  // decodes never construct tables. All rows are 64-byte aligned.
   struct SimdTables {
-    // Batch encode: split-nibble tables for P[p][j], the parity-j
+    // One split-nibble table per field element, index c (2^m entries,
+    // 16 KB at m = 8). Chien's non-unit locator coefficients index it
+    // directly; encode_mul and synd_mul are copies of its entries.
+    gf::AlignedVector<gf::simd::MulTables> const_mul;
+    // Batch encode (mul_rows_acc): tables for P[p][j], the parity-j
     // contribution of a unit data symbol at position p. Index p*2t + j.
     gf::AlignedVector<gf::simd::MulTables> encode_mul;
-    // Batch syndromes: tables for X_p^(fcr+j). Index p*2t + j.
+    // Batch syndromes (mul_rows_acc): tables for X_p^(fcr+j). Index
+    // p*2t + j.
     gf::AlignedVector<gf::simd::MulTables> synd_mul;
-    // Per-word syndromes, split-nibble pre-expansion: row (p, v) holds
+    // Per-word syndromes, read inline (no kernel call): row (p, v) holds
     // v * X_p^(fcr+j) over j for v in [0,16), then (v<<4) * X_p^(fcr+j)
-    // for v in [16,32). Index ((p*32 + v) * synd_stride + j).
+    // for v in [16,32). Index ((p*32 + v) * synd_stride + j). Bytes past
+    // 2t are zero, so rows can be XORed as whole 64-bit words.
     gf::AlignedVector<std::uint8_t> synd_nib;
-    std::size_t synd_stride = 0;  // 2t rounded up for row alignment
-    // Per-word LFSR encode: row v holds v*g[j] (v < 16) / (v-16)<<4 * g[j].
+    std::size_t synd_stride = 0;  // 2t rounded up to 64 bytes
+    // Per-word LFSR encode, read inline like synd_nib: row v holds v*g[j]
+    // (v < 16) / (v-16)<<4 * g[j], zero-padded to synd_stride.
     gf::AlignedVector<std::uint8_t> lfsr_nib;
-    // Chien search: row i holds X_p^(-i) over positions p, i in [0, 2t].
+    // Chien search (mul_const_acc): row i holds X_p^(-i) over positions
+    // p, i in [0, 2t].
     gf::AlignedVector<std::uint8_t> chien_pow;
     std::size_t chien_stride = 0;  // n rounded up for row alignment
   };

@@ -10,8 +10,11 @@
 //                       constant of every m in {2,3,4,8}, lengths crossing
 //                       each backend's vector width, unaligned buffers;
 //   2. codec level    — exhaustive weight-1..4 error/erasure patterns on
-//                       small codes and randomized RS(36,16) noise, decoded
-//                       under every backend in turn, against decode_legacy;
+//                       small codes and randomized weight-0..t+2 noise on
+//                       every code shape the per-word row gates see,
+//                       decoded under every backend in turn, against
+//                       decode_legacy; the per-code constant-table cache
+//                       against build_tables;
 //   3. batch level    — encode_batch/decode_batch planes at counts that are
 //                       not a multiple of any vector width, plus misaligned
 //                       caller planes, against the forced-scalar control.
@@ -22,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <random>
 #include <string>
@@ -320,39 +324,114 @@ TEST(CodecDifferential, SmallCodePatternsEveryBackend) {
   }
 }
 
-// RS(36,16) is the paper's duplex code and the smallest tier-1 code whose
-// n and 2t clear the kernel engagement thresholds, so this sweep actually
-// runs the per-word SIMD syndrome/Chien/LFSR paths.
-TEST(CodecDifferential, Rs3616RandomNoiseEveryBackend) {
+// Codes whose 2t clears the per-word split-nibble gate (2t >= 16), so
+// these sweeps run the inline syndrome/LFSR row passes and, for n >= 32,
+// the kernel Chien row:
+//   RS(36,16,8)   2t = 20: the paper's duplex code; a padded tail word;
+//   RS(255,223,8) 2t = 32: four full words;
+//   RS(63,40,6)   2t = 23, m < 8: high-nibble rows partly zero;
+//   RS(31,15,5)   2t = 16, n < 32: Chien stays scalar;
+//   RS(80,40,8)   2t = 40: more words than the register-resident forms.
+const CodeParams kRowGateCodes[] = {{36, 16, 8, 1}, {255, 223, 8, 1},
+                                    {63, 40, 6, 1}, {31, 15, 5, 1},
+                                    {80, 40, 8, 1}};
+
+// Error weights 0..t+2 (beyond capability too) at random positions and
+// values, each replayed with erasure subsets (none, every hit, every other
+// hit), under every supported backend, against decode_legacy.
+TEST(CodecDifferential, RowGateCodesRandomNoiseEveryBackend) {
   BackendGuard guard;
-  for (const simd::Backend b : supported_backends()) {
-    ASSERT_TRUE(simd::force_backend(b));
-    const ReedSolomon code(36, 16, 8);
-    DecoderWorkspace ws;
-    ws.reserve(code);
-    std::mt19937 rng(0xDA7E05);
-    std::uniform_int_distribution<unsigned> sym(0, 255);
-    std::uniform_int_distribution<unsigned> posd(0, 35);
-    for (unsigned trial = 0; trial < 200; ++trial) {
-      std::vector<Element> data(16);
-      for (auto& d : data) d = sym(rng);
-      std::vector<Element> noisy = code.encode(data);
-      const unsigned weight = trial % 14;  // 0..13, beyond capability too
-      std::vector<unsigned> hit_set;
-      for (unsigned i = 0; i < weight; ++i) {
-        const unsigned p = posd(rng);
-        if (std::find(hit_set.begin(), hit_set.end(), p) == hit_set.end()) {
-          hit_set.push_back(p);
-          noisy[p] ^= 1 + sym(rng) % 255;
+  for (const CodeParams& params : kRowGateCodes) {
+    const ReedSolomon code(params);
+    const std::string tag = "rs(" + std::to_string(params.n) + "," +
+                            std::to_string(params.k) + "," +
+                            std::to_string(params.m) + ")";
+    for (const simd::Backend b : supported_backends()) {
+      ASSERT_TRUE(simd::force_backend(b));
+      DecoderWorkspace ws;
+      ws.reserve(code);
+      std::mt19937 rng(0xDA7E05 + params.n);
+      std::uniform_int_distribution<unsigned> sym(0, code.field().size() - 1);
+      std::uniform_int_distribution<unsigned> nonzero(
+          1, code.field().size() - 1);
+      std::uniform_int_distribution<unsigned> posd(0, code.n() - 1);
+      for (unsigned weight = 0; weight <= code.t() + 2; ++weight) {
+        for (unsigned trial = 0; trial < 4; ++trial) {
+          std::vector<Element> data(code.k());
+          for (auto& d : data) d = sym(rng);
+          std::vector<Element> noisy = code.encode(data);
+          std::vector<unsigned> hits;
+          while (hits.size() < weight) {
+            const unsigned p = posd(rng);
+            if (std::find(hits.begin(), hits.end(), p) != hits.end()) continue;
+            hits.push_back(p);
+            noisy[p] ^= nonzero(rng);
+          }
+          for (const unsigned flavour : {0u, 1u, 2u}) {
+            std::vector<unsigned> erasures;
+            for (std::size_t i = 0; i < hits.size(); ++i) {
+              if (flavour == 1 || (flavour == 2 && i % 2 == 0)) {
+                erasures.push_back(hits[i]);
+              }
+            }
+            expect_same_decode(code, ws, noisy, erasures,
+                               (tag + " " + simd::to_string(b)).c_str());
+          }
         }
       }
-      std::vector<unsigned> erasures;
-      for (std::size_t i = 0; i + 1 < hit_set.size(); i += 2) {
-        erasures.push_back(hit_set[i]);
-      }
-      expect_same_decode(code, ws, noisy, erasures, "rs(36,16) noise");
     }
   }
+}
+
+// The per-word LFSR encoder against the Poly-based oracle on the same
+// codes, under every supported backend.
+TEST(CodecDifferential, RowGateCodesEncodeEveryBackend) {
+  BackendGuard guard;
+  for (const CodeParams& params : kRowGateCodes) {
+    const ReedSolomon code(params);
+    for (const simd::Backend b : supported_backends()) {
+      ASSERT_TRUE(simd::force_backend(b));
+      std::mt19937 rng(0xE1C0DE + params.n);
+      std::uniform_int_distribution<unsigned> sym(0, code.field().size() - 1);
+      std::vector<Element> got(code.n());
+      std::vector<Element> want(code.n());
+      for (unsigned trial = 0; trial < 64; ++trial) {
+        std::vector<Element> data(code.k());
+        // Trial 0 is the zero word; trial 1 a single unit symbol at the
+        // front, which walks the feedback through every parity shift.
+        for (auto& d : data) d = trial < 2 ? 0 : sym(rng);
+        if (trial == 1) data[0] = 1;
+        code.encode(data, got);
+        code.encode_legacy(data, want);
+        ASSERT_EQ(got, want) << "n=" << params.n << " k=" << params.k
+                             << " m=" << params.m << " "
+                             << simd::to_string(b) << " trial=" << trial;
+      }
+    }
+  }
+}
+
+// The per-code constant-table cache holds exactly build_tables(c) for every
+// element c of every byte-sized field, and nothing for m > 8.
+TEST(CodecDifferential, ConstantTableCacheMatchesBuildTables) {
+  for (unsigned m = 2; m <= 8; ++m) {
+    const unsigned n = (1u << m) - 1;
+    const ReedSolomon code(n, n - 2, m);
+    const auto cache = code.constant_tables();
+    ASSERT_EQ(cache.size(), code.field().size()) << "m=" << m;
+    simd::MulTables want;
+    for (Element c = 0; c < code.field().size(); ++c) {
+      simd::build_tables(want, code.field(), c);
+      const simd::MulTables& got = cache[c];
+      ASSERT_EQ(std::memcmp(got.lo, want.lo, sizeof(want.lo)), 0)
+          << "m=" << m << " c=" << c;
+      ASSERT_EQ(std::memcmp(got.hi, want.hi, sizeof(want.hi)), 0)
+          << "m=" << m << " c=" << c;
+      ASSERT_EQ(got.affine, want.affine) << "m=" << m << " c=" << c;
+      ASSERT_EQ(got.c, want.c) << "m=" << m << " c=" << c;
+    }
+  }
+  EXPECT_TRUE(ReedSolomon(20, 10, 10).constant_tables().empty());
 }
 
 // ---- batch planes: counts off every vector width, misaligned planes -----
