@@ -49,8 +49,7 @@ namespace {
 
 std::vector<Element> make_data(const rs::CodeParams& code, sim::Rng& rng) {
   std::vector<Element> data(code.k);
-  const std::uint64_t bound = 1ull << code.m;
-  for (Element& d : data) d = static_cast<Element>(rng.uniform_int(bound));
+  rng.fill_uniform_int(data, 1ull << code.m);
   return data;
 }
 
@@ -203,8 +202,7 @@ void run_mbu_burst(const FaultCampaignConfig& config,
     memory::TmrSystem sys(cfg);
     sim::Rng data_rng = rng.split(1);
     std::vector<Element> data(config.code.k);
-    const std::uint64_t bound = 1ull << m;
-    for (Element& d : data) d = static_cast<Element>(data_rng.uniform_int(bound));
+    data_rng.fill_uniform_int(data, 1ull << m);
     sys.store(data);
     for (const unsigned symbol :
          pick_distinct(scenario.intensity, config.code.k, rng)) {

@@ -1,5 +1,6 @@
 #include "analysis/monte_carlo.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -28,9 +29,7 @@ std::size_t resolve_batch_width(const MonteCarloConfig& config,
 }
 
 void fill_random_data(sim::Rng& rng, std::span<gf::Element> data, unsigned m) {
-  for (auto& d : data) {
-    d = static_cast<gf::Element>(rng.uniform_int(1u << m));
-  }
+  rng.fill_uniform_int(data, std::uint64_t{1} << m);
 }
 
 std::vector<gf::Element> random_data(sim::Rng& rng, unsigned k, unsigned m) {
@@ -67,26 +66,103 @@ void fill_word(WordObservation& word, const rs::DecodeOutcome& outcome,
   word.corrupted_symbols = damage.corrupted;
 }
 
+// A non-owning alias of the campaign's codec for the trials' system
+// configs. Every copy of an owning pointer updates one reference count
+// that all workers share, a contended atomic per trial; the campaign holds
+// the owning pointer until every chunk, and so every system, is done.
+std::shared_ptr<const rs::ReedSolomon> unowned(
+    const std::shared_ptr<const rs::ReedSolomon>& code) {
+  return {std::shared_ptr<const void>{}, code.get()};
+}
+
 // One trial's RNG streams are keyed by the GLOBAL trial index, never by the
 // shard, so shard layout cannot change any trial's fault history.
 sim::Rng trial_data_rng(const sim::Rng& root, std::size_t trial) {
   return root.split(2 * trial);
 }
+sim::Rng trial_system_rng(const sim::Rng& root, std::size_t trial) {
+  return root.split(2 * trial + 1);
+}
 std::uint64_t trial_system_seed(const sim::Rng& root, std::size_t trial) {
-  return root.split(2 * trial + 1).next_u64();
+  return trial_system_rng(root, trial).next_u64();
 }
 
+// Draws the inputs of trials [base, base + seeds.size()): each dataword
+// into its slot of `data_plane` and each system seed into `seeds`, the
+// values trial_data_rng and trial_system_seed give. The streams are
+// primed eight at a time (sim::Rng::prime), so the batch pays one
+// interleaved seeding pass per eight trials instead of a serial seeding
+// chain per stream. `streams` is scratch.
+void draw_batch_inputs(const sim::Rng& root, std::size_t base, unsigned m,
+                       std::span<gf::Element> data_plane,
+                       std::span<std::uint64_t> seeds,
+                       std::vector<sim::Rng>& streams) {
+  constexpr std::size_t kGroup = 8;
+  const std::size_t count = seeds.size();
+  const std::size_t k = data_plane.size() / count;
+  sim::Rng* group[kGroup];
+  const auto prime_group = [&](std::size_t draws) {
+    for (std::size_t l = 0; l < streams.size(); ++l) group[l] = &streams[l];
+    sim::Rng::prime({group, streams.size()}, draws);
+  };
+  for (std::size_t g = 0; g < count; g += kGroup) {
+    const std::size_t lanes = std::min(kGroup, count - g);
+    streams.clear();
+    for (std::size_t l = 0; l < lanes; ++l) {
+      streams.push_back(trial_data_rng(root, base + g + l));
+    }
+    prime_group(k);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      fill_random_data(streams[l], data_plane.subspan((g + l) * k, k), m);
+    }
+    streams.clear();
+    for (std::size_t l = 0; l < lanes; ++l) {
+      streams.push_back(trial_system_rng(root, base + g + l));
+    }
+    prime_group(1);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      seeds[g + l] = streams[l].next_u64();
+    }
+  }
+}
+
+// Primes the fault and scrub streams of a batch's freshly built systems
+// together (sim::Rng::prime). Storing starts each process with one draw
+// (an arrival or scrub time); two covers an injector's SEU and permanent
+// streams. `streams` is scratch.
+template <typename System>
+void prime_system_streams(
+    const std::vector<std::unique_ptr<System>>& systems,
+    std::vector<sim::Rng*>& streams) {
+  constexpr std::size_t kStartDraws = 2;
+  streams.clear();
+  for (const auto& sys : systems) sys->collect_streams(streams);
+  sim::Rng::prime(streams, kStartDraws);
+}
+
+// Runs `trials_chunk(acc, first, last)` for every chunk of the campaign
+// and merges the per-chunk counts in chunk order. Each chunk counts into a
+// local accumulator and stores it once: the shard slots are adjacent in
+// memory and workers run neighbouring chunks at the same time, so counting
+// in place would bounce their shared cache lines on every trial.
+template <typename TrialsChunk>
 MonteCarloResult run_campaign(const MonteCarloConfig& config,
-                              const ChunkRunner& chunk_with_acc,
+                              const TrialsChunk& trials_chunk,
                               CampaignReport* report,
-                              CampaignProgress* progress,
-                              std::vector<MonteCarloAccumulator>& shards) {
+                              CampaignProgress* progress) {
   CampaignConfig campaign;
   campaign.trials = config.trials;
   campaign.chunk_trials = config.chunk_trials;
   campaign.threads = config.threads;
-  shards.assign(campaign_chunk_count(campaign), MonteCarloAccumulator{});
-  run_chunked(campaign, chunk_with_acc, report, progress);
+  std::vector<MonteCarloAccumulator> shards(campaign_chunk_count(campaign));
+  run_chunked(
+      campaign,
+      [&](std::size_t chunk_index, std::size_t first, std::size_t last) {
+        MonteCarloAccumulator acc;
+        trials_chunk(acc, first, last);
+        shards[chunk_index] = acc;
+      },
+      report, progress);
   MonteCarloAccumulator total;
   for (const MonteCarloAccumulator& shard : shards) total.merge_from(shard);
   return total.finalize();
@@ -177,30 +253,28 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
       system.shared_code ? system.shared_code
                          : std::make_shared<const rs::ReedSolomon>(system.code);
   rs::DecoderWorkspace().reserve(*shared_code);
-  std::vector<MonteCarloAccumulator> shards;
   const std::size_t batch = resolve_batch_width(config, system.degradation);
   const unsigned n = system.code.n;
   const unsigned k = system.code.k;
-  const auto chunk = [&](std::size_t chunk_index, std::size_t first,
+  const auto chunk = [&](MonteCarloAccumulator& acc, std::size_t first,
                          std::size_t last) {
     // One workspace per pool thread (the thread-safety rule of the fast
     // path); it persists across chunks so steady-state trials allocate no
     // codec scratch at all.
     thread_local rs::DecoderWorkspace ws;
-    MonteCarloAccumulator& acc = shards[chunk_index];
     // Constructs one trial's system (no data stored yet).
-    const auto build_system = [&](std::size_t trial) {
-      memory::SimplexSystemConfig cfg = system;
-      cfg.seed = trial_system_seed(root, trial);
-      cfg.shared_code = shared_code;
-      cfg.workspace = &ws;
-      return std::make_unique<memory::SimplexSystem>(cfg);
+    memory::SimplexSystemConfig trial_config = system;
+    trial_config.shared_code = unowned(shared_code);
+    trial_config.workspace = &ws;
+    const auto build_system = [&](std::uint64_t seed) {
+      trial_config.seed = seed;
+      return std::make_unique<memory::SimplexSystem>(trial_config);
     };
     // Runs one trial's life up to the stopping time; the final read is the
     // caller's (per-trial or batched).
     const auto make_system = [&](std::size_t trial) {
       sim::Rng data_rng = trial_data_rng(root, trial);
-      auto sys = build_system(trial);
+      auto sys = build_system(trial_system_seed(root, trial));
       sys->store(random_data(data_rng, k, system.code.m));
       sys->advance_to(config.t_end_hours);
       return sys;
@@ -230,8 +304,9 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
       }
       return;
     }
-    // Batched gather/encode/decode/scatter: generate the batch's datawords
-    // into one plane and encode them with a single encode_batch call
+    // Batched gather/encode/decode/scatter: draw the batch's datawords
+    // and system seeds (draw_batch_inputs), encode the dataword plane
+    // with a single encode_batch call
     // (bit-identical per word to the per-trial encode), store each trial's
     // slot, run every trial to its stopping time, gather the raw module
     // reads into one word/flag plane, decode the plane with a single
@@ -241,6 +316,9 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
     // (RNG keying is by global index) and outcomes are counted in the same
     // order as the per-trial loop above.
     std::vector<std::unique_ptr<memory::SimplexSystem>> systems;
+    std::vector<sim::Rng> streams;
+    std::vector<sim::Rng*> system_streams;
+    std::vector<std::uint64_t> seeds;
     gf::AlignedVector<gf::Element> data_plane;
     gf::AlignedVector<gf::Element> plane;
     gf::AlignedVector<std::uint8_t> flags;
@@ -257,12 +335,12 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
       const std::span<gf::Element> data_span{data_plane};
       const std::span<gf::Element> plane_span{plane};
       const std::span<std::uint8_t> flag_span{flags};
+      seeds.resize(count);
+      draw_batch_inputs(root, base, system.code.m, data_span, seeds, streams);
       for (std::size_t i = 0; i < count; ++i) {
-        sim::Rng data_rng = trial_data_rng(root, base + i);
-        fill_random_data(data_rng, data_span.subspan(i * k, k),
-                         system.code.m);
-        systems.push_back(build_system(base + i));
+        systems.push_back(build_system(seeds[i]));
       }
+      prime_system_streams(systems, system_streams);
       // The codeword plane reuses the read-gather plane: store_encoded
       // copies each slot before any fault arrives, and the gather below
       // overwrites the plane wholesale.
@@ -284,7 +362,7 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
       }
     });
   };
-  return run_campaign(config, chunk, report, progress, shards);
+  return run_campaign(config, chunk, report, progress);
 }
 
 MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
@@ -299,24 +377,22 @@ MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
       system.shared_code ? system.shared_code
                          : std::make_shared<const rs::ReedSolomon>(system.code);
   rs::DecoderWorkspace().reserve(*shared_code);
-  std::vector<MonteCarloAccumulator> shards;
   const std::size_t batch = resolve_batch_width(config, system.degradation);
   const unsigned n = system.code.n;
   const unsigned k = system.code.k;
-  const auto chunk = [&](std::size_t chunk_index, std::size_t first,
+  const auto chunk = [&](MonteCarloAccumulator& acc, std::size_t first,
                          std::size_t last) {
     thread_local rs::DecoderWorkspace ws;
-    MonteCarloAccumulator& acc = shards[chunk_index];
-    const auto build_system = [&](std::size_t trial) {
-      memory::DuplexSystemConfig cfg = system;
-      cfg.seed = trial_system_seed(root, trial);
-      cfg.shared_code = shared_code;
-      cfg.workspace = &ws;
-      return std::make_unique<memory::DuplexSystem>(cfg);
+    memory::DuplexSystemConfig trial_config = system;
+    trial_config.shared_code = unowned(shared_code);
+    trial_config.workspace = &ws;
+    const auto build_system = [&](std::uint64_t seed) {
+      trial_config.seed = seed;
+      return std::make_unique<memory::DuplexSystem>(trial_config);
     };
     const auto make_system = [&](std::size_t trial) {
       sim::Rng data_rng = trial_data_rng(root, trial);
-      auto sys = build_system(trial);
+      auto sys = build_system(trial_system_seed(root, trial));
       sys->store(random_data(data_rng, k, system.code.m));
       sys->advance_to(config.t_end_hours);
       return sys;
@@ -357,6 +433,9 @@ MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
     // scatter time inside finish_batched_read).
     std::vector<std::unique_ptr<memory::DuplexSystem>> systems;
     std::vector<memory::ArbiterResult> partials;
+    std::vector<sim::Rng> streams;
+    std::vector<sim::Rng*> system_streams;
+    std::vector<std::uint64_t> seeds;
     gf::AlignedVector<gf::Element> data_plane;
     gf::AlignedVector<gf::Element> plane;
     gf::AlignedVector<std::uint8_t> flags;
@@ -374,12 +453,12 @@ MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
       const std::span<gf::Element> data_span{data_plane};
       const std::span<gf::Element> plane_span{plane};
       const std::span<std::uint8_t> flag_span{flags};
+      seeds.resize(count);
+      draw_batch_inputs(root, base, system.code.m, data_span, seeds, streams);
       for (std::size_t i = 0; i < count; ++i) {
-        sim::Rng data_rng = trial_data_rng(root, base + i);
-        fill_random_data(data_rng, data_span.subspan(i * k, k),
-                         system.code.m);
-        systems.push_back(build_system(base + i));
+        systems.push_back(build_system(seeds[i]));
       }
+      prime_system_streams(systems, system_streams);
       // Codewords borrow the first count*n slots of the read plane (each
       // store_encoded copies its slot; the masked-pair gather below then
       // overwrites the whole plane).
@@ -408,7 +487,7 @@ MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
       }
     });
   };
-  return run_campaign(config, chunk, report, progress, shards);
+  return run_campaign(config, chunk, report, progress);
 }
 
 }  // namespace rsmem::analysis

@@ -8,7 +8,8 @@ namespace rsmem::memory {
 
 DuplexSystem::DuplexSystem(const DuplexSystemConfig& config)
     : config_(config),
-      code_(resolve_system_code(config.shared_code, config.code,
+      // Moved out of config_ (see SimplexSystem's constructor).
+      code_(resolve_system_code(std::move(config_.shared_code), config.code,
                                 "DuplexSystem")),
       owned_workspace_(config.workspace != nullptr
                            ? nullptr
@@ -317,6 +318,12 @@ DuplexReadResult DuplexSystem::finish_batched_read(
                    stored_data_.begin(), stored_data_.end());
   }
   return result;
+}
+
+void DuplexSystem::collect_streams(std::vector<sim::Rng*>& out) {
+  out.push_back(&injector1_->stream());
+  out.push_back(&injector2_->stream());
+  if (scrubber_) out.push_back(&scrubber_->stream());
 }
 
 DamageSummary DuplexSystem::damage(unsigned module_index) const {

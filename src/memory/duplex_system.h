@@ -95,6 +95,11 @@ class DuplexSystem {
                                        const rs::DecodeOutcome& outcome2,
                                        ArbiterResult&& partial) const;
 
+  // Appends the system's own RNG streams (fault arrivals, scrub timing) to
+  // `out`. A campaign that builds a batch of systems primes them together
+  // (sim::Rng::prime) before storing; draws are unchanged.
+  void collect_streams(std::vector<sim::Rng*>& out);
+
   // Ground-truth damage of one module (0 or 1) versus the stored codeword.
   DamageSummary damage(unsigned module_index) const;
 

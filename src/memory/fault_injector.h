@@ -62,6 +62,9 @@ class FaultInjector {
   unsigned seu_injected() const { return seu_injected_; }
   unsigned permanent_injected() const { return permanent_injected_; }
 
+  // The arrival stream, for batch priming (sim::Rng::prime).
+  sim::Rng& stream() { return rng_; }
+
  private:
   void schedule_next_seu();
   void schedule_next_permanent();

@@ -1,16 +1,12 @@
 #include "memory/memory_module.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace rsmem::memory {
 
 MemoryModule::MemoryModule(unsigned n, unsigned m)
-    : n_(n),
-      m_(m),
-      value_(n, 0),
-      stuck_mask_(n, 0),
-      stuck_level_(n, 0),
-      detected_mask_(n, 0) {
+    : n_(n), m_(m), value_(n, 0) {
   if (n == 0 || m == 0 || m > 16) {
     throw std::invalid_argument("MemoryModule: require n > 0, 0 < m <= 16");
   }
@@ -26,7 +22,12 @@ void MemoryModule::write(std::span<const Element> symbols) {
   if (symbols.size() != n_) {
     throw std::invalid_argument("MemoryModule::write: size mismatch");
   }
-  for (unsigned i = 0; i < n_; ++i) write_symbol(i, symbols[i]);
+  Element wide = 0;
+  for (const Element value : symbols) wide |= value >> m_;
+  if (wide != 0) {
+    throw std::invalid_argument("MemoryModule::write: value too wide");
+  }
+  std::copy(symbols.begin(), symbols.end(), value_.begin());
 }
 
 void MemoryModule::write_symbol(unsigned symbol, Element value) {
@@ -47,6 +48,10 @@ void MemoryModule::read_into(std::span<Element> out) const {
   if (out.size() != n_) {
     throw std::invalid_argument("MemoryModule::read_into: size mismatch");
   }
+  if (!has_stuck()) {
+    std::copy(value_.begin(), value_.end(), out.begin());
+    return;
+  }
   for (unsigned i = 0; i < n_; ++i) {
     out[i] = (value_[i] & ~stuck_mask_[i]) | (stuck_level_[i] & stuck_mask_[i]);
   }
@@ -57,15 +62,22 @@ void MemoryModule::read_into_plane(std::span<Element> word,
   if (word.size() != n_ || erasure_flags.size() != n_) {
     throw std::invalid_argument("MemoryModule::read_into_plane: size mismatch");
   }
-  for (unsigned i = 0; i < n_; ++i) {
-    word[i] =
-        (value_[i] & ~stuck_mask_[i]) | (stuck_level_[i] & stuck_mask_[i]);
-    erasure_flags[i] = detected_mask_[i] != 0 ? 1 : 0;
+  // Two passes over raw pointers: a byte store may alias any object, so a
+  // fused loop through the vectors reloads their data pointers per symbol
+  // and never vectorizes.
+  read_into(word);
+  if (!has_stuck()) {
+    std::fill(erasure_flags.begin(), erasure_flags.end(), 0);
+    return;
   }
+  const Element* detected = detected_mask_.data();
+  std::uint8_t* flags = erasure_flags.data();
+  for (unsigned i = 0; i < n_; ++i) flags[i] = detected[i] != 0 ? 1 : 0;
 }
 
 Element MemoryModule::read_symbol(unsigned symbol) const {
   check_position(symbol, 0);
+  if (!has_stuck()) return value_[symbol];
   return (value_[symbol] & ~stuck_mask_[symbol]) |
          (stuck_level_[symbol] & stuck_mask_[symbol]);
 }
@@ -78,6 +90,11 @@ void MemoryModule::flip_bit(unsigned symbol, unsigned bit) {
 void MemoryModule::stick_bit(unsigned symbol, unsigned bit, bool level,
                              bool detected) {
   check_position(symbol, bit);
+  if (!has_stuck()) {
+    stuck_mask_.assign(n_, 0);
+    stuck_level_.assign(n_, 0);
+    detected_mask_.assign(n_, 0);
+  }
   const Element mask = Element{1} << bit;
   stuck_mask_[symbol] |= mask;
   if (level) {
@@ -89,17 +106,17 @@ void MemoryModule::stick_bit(unsigned symbol, unsigned bit, bool level,
 }
 
 void MemoryModule::detect_all_faults() {
-  for (unsigned i = 0; i < n_; ++i) detected_mask_[i] = stuck_mask_[i];
+  detected_mask_ = stuck_mask_;
 }
 
 bool MemoryModule::symbol_has_stuck_bit(unsigned symbol) const {
   check_position(symbol, 0);
-  return stuck_mask_[symbol] != 0;
+  return has_stuck() && stuck_mask_[symbol] != 0;
 }
 
 bool MemoryModule::symbol_has_detected_fault(unsigned symbol) const {
   check_position(symbol, 0);
-  return detected_mask_[symbol] != 0;
+  return has_stuck() && detected_mask_[symbol] != 0;
 }
 
 std::vector<unsigned> MemoryModule::detected_erasures() const {
@@ -110,6 +127,7 @@ std::vector<unsigned> MemoryModule::detected_erasures() const {
 
 void MemoryModule::detected_erasures_into(std::vector<unsigned>& out) const {
   out.clear();
+  if (!has_stuck()) return;
   for (unsigned i = 0; i < n_; ++i) {
     if (detected_mask_[i] != 0) out.push_back(i);
   }
@@ -117,6 +135,7 @@ void MemoryModule::detected_erasures_into(std::vector<unsigned>& out) const {
 
 std::vector<unsigned> MemoryModule::stuck_symbols() const {
   std::vector<unsigned> out;
+  if (!has_stuck()) return out;
   for (unsigned i = 0; i < n_; ++i) {
     if (stuck_mask_[i] != 0) out.push_back(i);
   }
@@ -125,7 +144,7 @@ std::vector<unsigned> MemoryModule::stuck_symbols() const {
 
 unsigned MemoryModule::stuck_bit_count() const {
   unsigned count = 0;
-  for (unsigned i = 0; i < n_; ++i) {
+  for (unsigned i = 0; i < static_cast<unsigned>(stuck_mask_.size()); ++i) {
     count += static_cast<unsigned>(__builtin_popcount(stuck_mask_[i]));
   }
   return count;

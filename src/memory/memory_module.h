@@ -74,10 +74,14 @@ class MemoryModule {
 
  private:
   void check_position(unsigned symbol, unsigned bit) const;
+  bool has_stuck() const { return !stuck_mask_.empty(); }
 
   unsigned n_;
   unsigned m_;
   std::vector<Element> value_;           // written bits
+  // The stuck-at planes are sized to n by the first stick_bit() and empty
+  // until then: a module that has taken only transient upsets reads
+  // straight from value_ and never allocates or sweeps them.
   std::vector<Element> stuck_mask_;      // 1 = cell is stuck
   std::vector<Element> stuck_level_;     // stuck-at level where mask is 1
   std::vector<Element> detected_mask_;   // subset of stuck_mask_ located

@@ -32,6 +32,9 @@ class Scrubber {
   // Time of the first scrub after `now`; +infinity when disabled.
   double next_after(double now);
 
+  // The scrub-timing stream, for batch priming (sim::Rng::prime).
+  sim::Rng& stream() { return rng_; }
+
  private:
   ScrubPolicy policy_;
   double period_hours_;

@@ -1,13 +1,14 @@
 #include "memory/simplex_system.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace rsmem::memory {
 
 std::shared_ptr<const rs::ReedSolomon> resolve_system_code(
-    const std::shared_ptr<const rs::ReedSolomon>& shared,
+    std::shared_ptr<const rs::ReedSolomon> shared,
     const rs::CodeParams& params, const char* owner) {
   if (!shared) return std::make_shared<const rs::ReedSolomon>(params);
   if (shared->n() != params.n || shared->k() != params.k ||
@@ -20,7 +21,10 @@ std::shared_ptr<const rs::ReedSolomon> resolve_system_code(
 
 SimplexSystem::SimplexSystem(const SimplexSystemConfig& config)
     : config_(config),
-      code_(resolve_system_code(config.shared_code, config.code,
+      // Moved out of config_, which keeps no second reference: every
+      // reference count change on a codec shared by a campaign's workers
+      // is a contended atomic.
+      code_(resolve_system_code(std::move(config_.shared_code), config.code,
                                 "SimplexSystem")),
       owned_workspace_(config.workspace != nullptr
                            ? nullptr
@@ -228,6 +232,11 @@ ReadResult SimplexSystem::finish_batched_read(
                    stored_data_.begin(), stored_data_.end());
   }
   return result;
+}
+
+void SimplexSystem::collect_streams(std::vector<sim::Rng*>& out) {
+  out.push_back(&injector_->stream());
+  if (scrubber_) out.push_back(&scrubber_->stream());
 }
 
 DamageSummary SimplexSystem::damage() const {

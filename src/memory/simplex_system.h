@@ -75,7 +75,7 @@ struct SimplexSystemConfig {
 // parameters must match `params`, else std::invalid_argument naming
 // `owner`), otherwise a new codec built from `params`.
 std::shared_ptr<const rs::ReedSolomon> resolve_system_code(
-    const std::shared_ptr<const rs::ReedSolomon>& shared,
+    std::shared_ptr<const rs::ReedSolomon> shared,
     const rs::CodeParams& params, const char* owner);
 
 class SimplexSystem {
@@ -126,6 +126,11 @@ class SimplexSystem {
   // supports_batched_read().
   ReadResult finish_batched_read(std::span<const Element> word,
                                  const rs::DecodeOutcome& outcome) const;
+
+  // Appends the system's own RNG streams (fault arrivals, scrub timing) to
+  // `out`. A campaign that builds a batch of systems primes them together
+  // (sim::Rng::prime) before storing; draws are unchanged.
+  void collect_streams(std::vector<sim::Rng*>& out);
 
   // Ground-truth damage versus the stored codeword (instrumentation).
   DamageSummary damage() const;

@@ -51,6 +51,57 @@ inline void store64(std::uint8_t* p, std::uint64_t v) {
   std::memcpy(p, &v, sizeof(v));
 }
 
+// Stages a word-major plane of `count` words of `len` symbols as one byte
+// stream per position, `stride` bytes apart: soa[p * stride + w] =
+// plane[w * len + p]. Eight words at a time, each position's eight bytes
+// are packed into one 64-bit store rather than eight byte stores a cache
+// line apart. The field check is an OR over the plane, tested once at the
+// end (for size = 2^m, an OR of symbols below 2^m stays below it), so the
+// copy loop carries no branch.
+void stage_soa(const Element* plane, std::size_t count, std::size_t len,
+               std::uint32_t size, std::uint8_t* soa, std::size_t stride,
+               const char* range_error) {
+  Element wide = 0;
+  std::size_t w = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; w + 8 <= count; w += 8) {
+      const Element* word = plane + w * len;
+      for (std::size_t p = 0; p < len; ++p) {
+        std::uint64_t packed = 0;
+        for (std::size_t l = 0; l < 8; ++l) {
+          const Element v = word[l * len + p];
+          wide |= v;
+          packed |= std::uint64_t{static_cast<std::uint8_t>(v)} << (8 * l);
+        }
+        store64(soa + p * stride + w, packed);
+      }
+    }
+  }
+  for (; w < count; ++w) {
+    const Element* word = plane + w * len;
+    for (std::size_t p = 0; p < len; ++p) {
+      wide |= word[p];
+      soa[p * stride + w] = static_cast<std::uint8_t>(word[p]);
+    }
+  }
+  if (wide >= size) throw std::invalid_argument(range_error);
+}
+
+// Collects the flagged positions of one word's erasure flags into `out`
+// (cleared first). Unflagged words, the common case, cost one OR sweep.
+void collect_erasures(const std::uint8_t* flags, std::size_t n,
+                      std::vector<unsigned>& out) {
+  out.clear();
+  std::uint64_t any = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) any |= load64(flags + i);
+  for (; i < n; ++i) any |= flags[i];
+  if (any == 0) return;
+  for (i = 0; i < n; ++i) {
+    if (flags[i]) out.push_back(static_cast<unsigned>(i));
+  }
+}
+
 // Per-word accumulation over pre-expanded split-nibble rows. Row v of a
 // block holds v * c_j over j and row 16 + v holds (v << 4) * c_j, each
 // zero-padded to `stride` bytes (a multiple of 64), so for a symbol w the
@@ -213,50 +264,25 @@ const ReedSolomon::SimdTables* ReedSolomon::simd_tables() const {
   if (simd_ptr_.load(std::memory_order_relaxed) == nullptr) {
     auto st = std::make_unique<SimdTables>();
     const unsigned n = params_.n;
-    const unsigned k = params_.k;
     const unsigned two_t = parity_symbols();
     const std::uint32_t size = field_.size();
     st->synd_stride = gf::aligned_stride(two_t);
     st->chien_stride = gf::aligned_stride(n);
 
-    // One split-nibble table per field element; every other table below
-    // is a copy of one of these, and Chien reads them directly.
+    // One split-nibble table per field element; the nibble rows below and
+    // BatchTables expand or copy these, and Chien reads them directly.
     st->const_mul.resize(size);
     for (Element c = 0; c < size; ++c) {
       gf::simd::build_tables(st->const_mul[c], field_, c);
     }
 
-    // Batch-encode constants: P[p][j] is the parity-j symbol produced by
-    // the unit dataword e_p, computed with an inline scalar LFSR so the
-    // build never re-enters the dispatched encoder. e_p feeds fb = 1 at
-    // step p (leaving the register at g) and then k-1-p zero symbols, so
-    // P[k-1] = g and P[p-1] is one zero-fed LFSR step on P[p].
-    st->encode_mul.resize(static_cast<std::size_t>(k) * two_t);
-    std::vector<Element> par(gen_lfsr_);
-    for (unsigned p = k; p-- > 0;) {
-      if (p + 1 < k) {
-        const Element fb = par[0];
-        for (unsigned j = 0; j + 1 < two_t; ++j) {
-          par[j] = par[j + 1] ^ field_.mul(fb, gen_lfsr_[j]);
-        }
-        par[two_t - 1] = field_.mul(fb, gen_lfsr_[two_t - 1]);
-      }
-      for (unsigned j = 0; j < two_t; ++j) {
-        st->encode_mul[static_cast<std::size_t>(p) * two_t + j] =
-            st->const_mul[par[j]];
-      }
-    }
-
-    // Batch-syndrome constants X_p^(fcr+j) and their per-word split-nibble
-    // pre-expansion (rows of v * X_p^(fcr+j) over j).
-    st->synd_mul.resize(static_cast<std::size_t>(n) * two_t);
+    // Per-word syndrome rows: the split-nibble pre-expansion of the
+    // constants X_p^(fcr+j) (rows of v * X_p^(fcr+j) over j).
     st->synd_nib.assign(static_cast<std::size_t>(n) * 32 * st->synd_stride,
                         0);
     for (unsigned p = 0; p < n; ++p) {
       for (unsigned j = 0; j < two_t; ++j) {
         const Element c = field_.pow(pos_locator_[p], params_.fcr + j);
-        st->synd_mul[static_cast<std::size_t>(p) * two_t + j] =
-            st->const_mul[c];
         expand_nibble_rows(
             st->const_mul[c], st->synd_stride, j,
             st->synd_nib.data() +
@@ -286,6 +312,54 @@ const ReedSolomon::SimdTables* ReedSolomon::simd_tables() const {
     simd_ptr_.store(simd_.get(), std::memory_order_release);
   }
   return simd_ptr_.load(std::memory_order_relaxed);
+}
+
+const ReedSolomon::BatchTables* ReedSolomon::batch_tables() const {
+  const SimdTables* st = simd_tables();
+  if (st == nullptr) return nullptr;
+  const BatchTables* t = batch_ptr_.load(std::memory_order_acquire);
+  if (t != nullptr) return t;
+  const std::lock_guard<std::mutex> lock(simd_build_);
+  if (batch_ptr_.load(std::memory_order_relaxed) == nullptr) {
+    auto bt = std::make_unique<BatchTables>();
+    const unsigned n = params_.n;
+    const unsigned k = params_.k;
+    const unsigned two_t = parity_symbols();
+
+    // Batch-encode constants: P[p][j] is the parity-j symbol produced by
+    // the unit dataword e_p, computed with an inline scalar LFSR so the
+    // build never re-enters the dispatched encoder. e_p feeds fb = 1 at
+    // step p (leaving the register at g) and then k-1-p zero symbols, so
+    // P[k-1] = g and P[p-1] is one zero-fed LFSR step on P[p].
+    bt->encode_mul.resize(static_cast<std::size_t>(k) * two_t);
+    std::vector<Element> par(gen_lfsr_);
+    for (unsigned p = k; p-- > 0;) {
+      if (p + 1 < k) {
+        const Element fb = par[0];
+        for (unsigned j = 0; j + 1 < two_t; ++j) {
+          par[j] = par[j + 1] ^ field_.mul(fb, gen_lfsr_[j]);
+        }
+        par[two_t - 1] = field_.mul(fb, gen_lfsr_[two_t - 1]);
+      }
+      for (unsigned j = 0; j < two_t; ++j) {
+        bt->encode_mul[static_cast<std::size_t>(p) * two_t + j] =
+            st->const_mul[par[j]];
+      }
+    }
+
+    // Batch-syndrome constants X_p^(fcr+j).
+    bt->synd_mul.resize(static_cast<std::size_t>(n) * two_t);
+    for (unsigned p = 0; p < n; ++p) {
+      for (unsigned j = 0; j < two_t; ++j) {
+        bt->synd_mul[static_cast<std::size_t>(p) * two_t + j] =
+            st->const_mul[field_.pow(pos_locator_[p], params_.fcr + j)];
+      }
+    }
+
+    batch_ = std::move(bt);
+    batch_ptr_.store(batch_.get(), std::memory_order_release);
+  }
+  return batch_ptr_.load(std::memory_order_relaxed);
 }
 
 std::span<const gf::simd::MulTables> ReedSolomon::constant_tables() const {
@@ -432,7 +506,7 @@ void ReedSolomon::encode_batch(DecoderWorkspace& ws,
     // ISA-L shape, with `count` as the vector axis. Parity symbols are
     // unique for a given dataword, so this is bit-identical to the
     // per-word LFSR.
-    const SimdTables* st = simd_tables();
+    const BatchTables* bt = batch_tables();
     const std::size_t two_t = parity_symbols();
     const std::size_t stride = gf::aligned_stride(count);
     const std::uint32_t size = field_.size();
@@ -440,30 +514,22 @@ void ReedSolomon::encode_batch(DecoderWorkspace& ws,
     ws.soa_acc.assign(two_t * stride, 0);
     std::uint8_t* in = ws.soa_in.data();
     std::uint8_t* acc = ws.soa_acc.data();
-    for (std::size_t w = 0; w < count; ++w) {
-      const Element* word = data_plane.data() + w * k;
-      for (std::size_t p = 0; p < k; ++p) {
-        if (word[p] >= size) {
-          throw std::invalid_argument(
+    stage_soa(data_plane.data(), count, k, size, in, stride,
               "ReedSolomon::encode: symbol out of field");
-        }
-        in[p * stride + w] = static_cast<std::uint8_t>(word[p]);
-      }
-    }
     if (kn->mul_rows_acc != nullptr) {
       // Fused sweep: one kernel call per data position updates every
       // parity row (encode_mul rows for a position are contiguous).
       // Reordering the XOR accumulation is exact, so still bit-identical.
       for (std::size_t p = 0; p < k; ++p) {
         kn->mul_rows_acc(acc, stride, in + p * stride,
-                         st->encode_mul.data() + p * two_t, two_t, count);
+                         bt->encode_mul.data() + p * two_t, two_t, count);
       }
     } else {
       for (std::size_t j = 0; j < two_t; ++j) {
         std::uint8_t* dst = acc + j * stride;
         for (std::size_t p = 0; p < k; ++p) {
           kn->mul_const_acc(dst, in + p * stride,
-                            st->encode_mul[p * two_t + j], count);
+                            bt->encode_mul[p * two_t + j], count);
         }
       }
     }
@@ -508,7 +574,7 @@ void ReedSolomon::decode_batch(
     // words that are dirty or carry erasure flags. Clean, unflagged words
     // exit with kNoError exactly as the per-word syndrome screen would
     // decide — same values, same outcome.
-    const SimdTables* st = simd_tables();
+    const BatchTables* bt = batch_tables();
     const std::size_t two_t = parity_symbols();
     const std::size_t stride = gf::aligned_stride(count);
     const std::uint32_t size = field_.size();
@@ -518,30 +584,22 @@ void ReedSolomon::decode_batch(
     std::uint8_t* in = ws.soa_in.data();
     std::uint8_t* acc = ws.soa_acc.data();
     std::uint8_t* dirty = ws.soa_dirty.data();
-    for (std::size_t w = 0; w < count; ++w) {
-      const Element* word = word_plane.data() + w * n;
-      for (std::size_t p = 0; p < n; ++p) {
-        if (word[p] >= size) {
-          throw std::invalid_argument(
+    stage_soa(word_plane.data(), count, n, size, in, stride,
               "ReedSolomon::decode: symbol out of field");
-        }
-        in[p * stride + w] = static_cast<std::uint8_t>(word[p]);
-      }
-    }
     if (kn->mul_rows_acc != nullptr) {
       // Fused sweep: one kernel call per codeword position updates every
       // syndrome row (synd_mul rows for a position are contiguous).
       // Reordering the XOR accumulation is exact, so still bit-identical.
       for (std::size_t p = 0; p < n; ++p) {
         kn->mul_rows_acc(acc, stride, in + p * stride,
-                         st->synd_mul.data() + p * two_t, two_t, count);
+                         bt->synd_mul.data() + p * two_t, two_t, count);
       }
     } else {
       for (std::size_t j = 0; j < two_t; ++j) {
         std::uint8_t* dst = acc + j * stride;
         for (std::size_t p = 0; p < n; ++p) {
           kn->mul_const_acc(dst, in + p * stride,
-                            st->synd_mul[p * two_t + j], count);
+                            bt->synd_mul[p * two_t + j], count);
         }
       }
     }
@@ -554,12 +612,7 @@ void ReedSolomon::decode_batch(
     for (std::size_t w = 0; w < count; ++w) {
       ws.erasure_scratch.clear();
       if (!erasure_flags.empty()) {
-        const std::uint8_t* flags = erasure_flags.data() + w * n;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (flags[i]) {
-            ws.erasure_scratch.push_back(static_cast<unsigned>(i));
-          }
-        }
+        collect_erasures(erasure_flags.data() + w * n, n, ws.erasure_scratch);
       }
       if (dirty[w] == 0 && ws.erasure_scratch.empty()) {
         // Zero syndromes, no erasures: the per-word pipeline's clean exit.

@@ -108,8 +108,9 @@ class DecoderWorkspace {
   DecoderWorkspace() = default;
 
   // Pre-sizes every buffer for `code` (and forces the field's dense
-  // multiplication table for m <= 8), so even the first decode through this
-  // workspace allocates nothing.
+  // multiplication table and the code's per-word SIMD tables for m <= 8),
+  // so even the first decode through this workspace allocates nothing. The
+  // batch tables are built by the code's first encode_batch/decode_batch.
   void reserve(const ReedSolomon& code);
 
  private:
@@ -232,18 +233,13 @@ class ReedSolomon {
   // Per-code constant tables for the m <= 8 table routes, built lazily on
   // first use (thread-safe, one build per code) and shared by every
   // workspace. reserve() forces the build so steady-state encodes and
-  // decodes never construct tables. All rows are 64-byte aligned.
+  // decodes never construct tables (BatchTables below are separate). All
+  // rows are 64-byte aligned.
   struct SimdTables {
     // One split-nibble table per field element, index c (2^m entries,
     // 16 KB at m = 8). Chien's non-unit locator coefficients index it
-    // directly; encode_mul and synd_mul are copies of its entries.
+    // directly; BatchTables are copies of its entries.
     gf::AlignedVector<gf::simd::MulTables> const_mul;
-    // Batch encode (mul_rows_acc): tables for P[p][j], the parity-j
-    // contribution of a unit data symbol at position p. Index p*2t + j.
-    gf::AlignedVector<gf::simd::MulTables> encode_mul;
-    // Batch syndromes (mul_rows_acc): tables for X_p^(fcr+j). Index
-    // p*2t + j.
-    gf::AlignedVector<gf::simd::MulTables> synd_mul;
     // Per-word syndromes, read inline (no kernel call): row (p, v) holds
     // v * X_p^(fcr+j) over j for v in [0,16), then (v<<4) * X_p^(fcr+j)
     // for v in [16,32). Index ((p*32 + v) * synd_stride + j). Bytes past
@@ -260,6 +256,19 @@ class ReedSolomon {
   };
   // Returns the lazily built tables, or nullptr for m > 8.
   const SimdTables* simd_tables() const;
+  // The batch codec's mul_rows_acc tables, one 64-byte MulTables per
+  // (position, row): ~1 MB for RS(255,223). Built lazily on the first
+  // encode_batch/decode_batch call, not by reserve(), so a code used only
+  // word by word never builds them.
+  struct BatchTables {
+    // Batch encode: tables for P[p][j], the parity-j contribution of a
+    // unit data symbol at position p. Index p*2t + j.
+    gf::AlignedVector<gf::simd::MulTables> encode_mul;
+    // Batch syndromes: tables for X_p^(fcr+j). Index p*2t + j.
+    gf::AlignedVector<gf::simd::MulTables> synd_mul;
+  };
+  // Returns the lazily built tables, or nullptr for m > 8.
+  const BatchTables* batch_tables() const;
   // reserve() forces the lazy SIMD table build.
   friend class DecoderWorkspace;
 
@@ -275,7 +284,9 @@ class ReedSolomon {
   // Lazily built SIMD constant tables (see SimdTables above).
   mutable std::unique_ptr<SimdTables> simd_;
   mutable std::atomic<const SimdTables*> simd_ptr_{nullptr};
-  mutable std::mutex simd_build_;
+  mutable std::unique_ptr<BatchTables> batch_;
+  mutable std::atomic<const BatchTables*> batch_ptr_{nullptr};
+  mutable std::mutex simd_build_;  // guards both lazy builds
 };
 
 }  // namespace rsmem::rs

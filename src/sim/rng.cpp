@@ -1,5 +1,6 @@
 #include "sim/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -19,13 +20,25 @@ std::uint64_t mix(std::uint64_t z) {
 
 Rng::Rng(std::uint64_t seed) : root_seed_(seed) {}
 
-std::mt19937_64& Rng::engine() {
+Mt19937_64& Rng::engine() {
   if (!engine_) engine_.emplace(mix(root_seed_));
   return *engine_;
 }
 
 Rng Rng::split(std::uint64_t stream_id) const {
   return Rng{mix(root_seed_ ^ mix(stream_id + 1))};
+}
+
+void Rng::prime(std::span<Rng* const> streams, std::size_t draws) {
+  constexpr std::size_t kGroup = 64;
+  Mt19937_64* engines[kGroup];
+  for (std::size_t base = 0; base < streams.size(); base += kGroup) {
+    const std::size_t count = std::min(kGroup, streams.size() - base);
+    for (std::size_t i = 0; i < count; ++i) {
+      engines[i] = &streams[base + i]->engine();
+    }
+    Mt19937_64::seed_lockstep({engines, count}, draws);
+  }
 }
 
 double Rng::uniform() {
@@ -60,6 +73,38 @@ std::uint64_t Rng::uniform_int(std::uint64_t bound) {
     x = eng();
   } while (x >= limit);
   return x % bound;
+}
+
+void Rng::fill_uniform_int(std::span<std::uint32_t> out,
+                           std::uint64_t bound) {
+  if (bound == 0 || bound > (std::uint64_t{1} << 32)) {
+    throw std::invalid_argument(
+        "Rng::fill_uniform_int: bound outside [1, 2^32]");
+  }
+  if ((bound & (bound - 1)) != 0) {
+    for (std::uint32_t& v : out) {
+      v = static_cast<std::uint32_t>(uniform_int(bound));
+    }
+    return;
+  }
+  // Power-of-two bound: uniform_int's rejection rule on runs of raw draws.
+  // Each run draws at most as many words as slots remain, and a rejected
+  // word is skipped exactly as uniform_int would skip it, so the engine
+  // ends where out.size() uniform_int calls leave it.
+  const std::uint64_t limit = ~std::uint64_t{0} - (bound - 1);
+  Mt19937_64& eng = engine();
+  constexpr std::size_t kRun = 64;
+  std::uint64_t raw[kRun];
+  std::size_t filled = 0;
+  while (filled < out.size()) {
+    const std::size_t want = std::min(kRun, out.size() - filled);
+    eng.generate(raw, want);
+    for (std::size_t i = 0; i < want; ++i) {
+      if (raw[i] < limit) {
+        out[filled++] = static_cast<std::uint32_t>(raw[i] & (bound - 1));
+      }
+    }
+  }
 }
 
 bool Rng::bernoulli(double p) {

@@ -1,9 +1,10 @@
 // Deterministic random number generation for the Monte-Carlo simulator.
 //
-// Wraps the fully-specified std::mt19937_64 engine but implements every
-// distribution transform in-house (std:: distributions are implementation
-// defined, which would make simulation results differ across standard
-// libraries). Streams can be split so that independent subsystems (fault
+// Draws from MT19937-64 (sim/mt19937_64.h: the std::mt19937_64 sequence,
+// seeded and twisted lazily) and implements every distribution transform
+// in-house (std:: distributions are implementation defined, which would
+// make simulation results differ across standard libraries). Streams can
+// be split so that independent subsystems (fault
 // injection per module, scrubbing jitter, ...) draw from decorrelated
 // sequences while staying reproducible from one root seed.
 //
@@ -21,7 +22,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <random>
+#include <span>
+
+#include "sim/mt19937_64.h"
 
 namespace rsmem::sim {
 
@@ -39,6 +42,10 @@ class Rng {
   double uniform_positive();
   // Uniform integer in [0, bound); bound must be > 0.
   std::uint64_t uniform_int(std::uint64_t bound);
+  // Fills `out` with uniform_int(bound) draws in order -- the values
+  // out.size() successive uniform_int(bound) calls return -- without a
+  // call per draw. Requires 0 < bound <= 2^32.
+  void fill_uniform_int(std::span<std::uint32_t> out, std::uint64_t bound);
   bool bernoulli(double p);
   // Exponential with the given rate (> 0); mean 1/rate.
   double exponential(double rate);
@@ -47,15 +54,21 @@ class Rng {
 
   std::uint64_t next_u64() { return engine()(); }
 
+  // Materializes the engines of `streams` and runs the seeding their first
+  // `draws` draws need, interleaved across streams
+  // (Mt19937_64::seed_lockstep). A batch of trials primes its streams
+  // together instead of paying one serial seeding chain per stream; every
+  // draw that follows is unchanged.
+  static void prime(std::span<Rng* const> streams, std::size_t draws);
+
  private:
-  // The mt19937-64 state (312 words, non-trivial to seed) is materialized
-  // lazily on the first draw, producing exactly the sequence the eager
-  // seeding produced. Campaign trial setup creates several Rngs that are
-  // only ever split() -- the campaign root, each system's root -- and those
-  // never pay for an engine at all.
-  std::mt19937_64& engine();
+  // The engine (312 state words) is materialized on the first draw.
+  // Campaign trial setup creates several Rngs that are only ever split()
+  // -- the campaign root, each system's root -- and copies them by value;
+  // those never carry an engine at all.
+  Mt19937_64& engine();
   std::uint64_t root_seed_;
-  std::optional<std::mt19937_64> engine_;
+  std::optional<Mt19937_64> engine_;
 };
 
 }  // namespace rsmem::sim

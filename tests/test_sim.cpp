@@ -4,15 +4,115 @@
 
 #include <cmath>
 #include <limits>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/mt19937_64.h"
 #include "sim/poisson.h"
 #include "sim/rng.h"
 
 namespace rsmem::sim {
 namespace {
+
+TEST(Mt19937_64, StandardCheckValue) {
+  // [rand.predef]: the 10000th draw of a default-seeded mt19937_64.
+  Mt19937_64 engine{5489};
+  std::uint64_t value = 0;
+  for (int i = 0; i < 10000; ++i) value = engine();
+  EXPECT_EQ(value, 9981545732273789042ull);
+}
+
+TEST(Mt19937_64, MatchesStdEngineAcrossRefillAndBlockBoundaries) {
+  // Draw counts straddle the 4-word first refill, the 156-word half block (where
+  // the twist starts reading regenerated words) and the 312-word block.
+  const std::uint64_t seeds[] = {0,          1,          5489,
+                                 0x9E3779B97F4A7C15ull, ~std::uint64_t{0}};
+  const int lengths[] = {1, 2, 3, 4, 5, 155, 156, 157, 311, 312, 313, 1000};
+  for (const std::uint64_t seed : seeds) {
+    for (const int length : lengths) {
+      std::mt19937_64 reference{seed};
+      Mt19937_64 engine{seed};
+      for (int i = 0; i < length; ++i) {
+        ASSERT_EQ(engine(), reference()) << "seed " << seed << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(Mt19937_64, CopiesResumeTheSameSequence) {
+  Mt19937_64 engine{42};
+  for (int i = 0; i < 20; ++i) engine();
+  Mt19937_64 copy = engine;
+  for (int i = 0; i < 400; ++i) EXPECT_EQ(copy(), engine());
+}
+
+TEST(Mt19937_64, GenerateMatchesSingleDraws) {
+  // Runs of every length from 1 to 40, starting inside the first refill,
+  // across the block boundary and in later blocks.
+  Mt19937_64 bulk{7};
+  Mt19937_64 single{7};
+  std::uint64_t out[40];
+  for (int run = 1; run <= 40; ++run) {
+    bulk.generate(out, static_cast<std::size_t>(run));
+    for (int i = 0; i < run; ++i) ASSERT_EQ(out[i], single()) << "run " << run;
+  }
+  EXPECT_EQ(bulk(), single());
+}
+
+TEST(Rng, FillUniformIntMatchesSuccessiveDraws) {
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{256},
+        std::uint64_t{255}, std::uint64_t{1} << 32}) {
+    for (const std::size_t count : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{223}, std::size_t{700}}) {
+      Rng bulk{31};
+      Rng single{31};
+      std::vector<std::uint32_t> out(count);
+      bulk.fill_uniform_int(out, bound);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(out[i], single.uniform_int(bound))
+            << "bound " << bound << " draw " << i;
+      }
+      EXPECT_EQ(bulk.next_u64(), single.next_u64()) << "bound " << bound;
+    }
+  }
+  std::vector<std::uint32_t> out(4);
+  Rng rng{1};
+  EXPECT_THROW(rng.fill_uniform_int(out, 0), std::invalid_argument);
+  EXPECT_THROW(rng.fill_uniform_int(out, (std::uint64_t{1} << 32) + 1),
+               std::invalid_argument);
+}
+
+TEST(Rng, PrimeLeavesEveryStreamUnchanged) {
+  // Group sizes around the eight-lane interleave; draw hints below, at and
+  // past the first refill; one stream per group already drawn from, so its
+  // group cannot run in lockstep.
+  const Rng root{2024};
+  for (const std::size_t streams : {1u, 7u, 8u, 9u, 17u}) {
+    for (const std::size_t draws : {0u, 1u, 4u, 5u, 223u, 400u}) {
+      std::vector<Rng> primed;
+      std::vector<Rng> plain;
+      for (std::size_t i = 0; i < streams; ++i) {
+        primed.push_back(root.split(i));
+        plain.push_back(root.split(i));
+      }
+      primed[streams / 2].next_u64();
+      plain[streams / 2].next_u64();
+      std::vector<Rng*> pointers;
+      for (Rng& stream : primed) pointers.push_back(&stream);
+      Rng::prime(pointers, draws);
+      for (std::size_t i = 0; i < streams; ++i) {
+        for (int d = 0; d < 500; ++d) {
+          ASSERT_EQ(primed[i].next_u64(), plain[i].next_u64())
+              << "streams " << streams << " hint " << draws << " stream " << i
+              << " draw " << d;
+        }
+      }
+    }
+  }
+}
 
 TEST(Rng, DeterministicFromSeed) {
   Rng a{123};
